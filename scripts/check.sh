@@ -36,13 +36,13 @@ case "${mode}" in
     # triple their runtime under it for no additional coverage. The filter
     # comes last so a forwarded -R cannot accidentally widen the run
     # (ctest honors the last -R).
-    run_preset tsan "$@" -R '^(Service|Net|Store|Delta|Metrics|Trace|Observability|Join2|CrossMatch|Subscribe|Async|Admin|Profiler)'
+    run_preset tsan "$@" -R '^(Service|Net|Store|WorkStealingPool|Delta|Metrics|Trace|Observability|Join2|CrossMatch|Subscribe|Async|Admin|Profiler)'
     ;;
   all)
     run_preset release "$@"
     run_preset asan "$@"
     run_preset ubsan "$@"
-    run_preset tsan "$@" -R '^(Service|Net|Store|Delta|Metrics|Trace|Observability|Join2|CrossMatch|Subscribe|Async|Admin|Profiler)'
+    run_preset tsan "$@" -R '^(Service|Net|Store|WorkStealingPool|Delta|Metrics|Trace|Observability|Join2|CrossMatch|Subscribe|Async|Admin|Profiler)'
     ;;
   *)
     echo "usage: $0 [release|debug|asan|ubsan|tsan|all] [ctest args...]" >&2

@@ -481,12 +481,9 @@ std::vector<std::pair<uint32_t, uint32_t>> CrossMatch(
 std::vector<std::pair<uint32_t, uint32_t>> CrossMatchIndexes(
     const service::ShardedIndex& a, const service::ShardedIndex& b,
     const CrossMatchOptions& opts, util::WorkStealingPool* pool,
-    CrossMatchStats* stats, CrossMatchPhaseTimes* phases) {
-  util::WallTimer pin_timer;
-  IntervalView view_a = IntervalView::FromIndex(a);
-  IntervalView view_b = IntervalView::FromIndex(b);
-  if (phases != nullptr) phases->pin_us = pin_timer.ElapsedSeconds() * 1e6;
-  return CrossMatch(view_a, view_b, opts, pool, stats, phases);
+    CrossMatchStats* stats) {
+  return CrossMatch(IntervalView::FromIndex(a), IntervalView::FromIndex(b),
+                    opts, pool, stats);
 }
 
 std::vector<std::pair<uint32_t, uint32_t>> BruteForceCrossMatch(

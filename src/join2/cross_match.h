@@ -169,11 +169,12 @@ class IntervalView {
 };
 
 /// Wall time per crossmatch phase, microseconds — the request-tracing
-/// seam, mirroring ShardedIndex::JoinPhaseTimes. pin covers flattening +
-/// coarsening both probe surfaces (CrossMatchIndexes only; CrossMatch over
-/// prebuilt views reports 0), descend covers the synchronized descent
-/// through candidate dedup, refine covers predicate evaluation and output
-/// assembly.
+/// seam, mirroring ShardedIndex::JoinPhaseTimes. pin covers obtaining both
+/// probe surfaces and is DatasetCrossMatcher's to fill (CrossMatch never
+/// writes it): both snapshot pins plus both view-cache lookups, including
+/// an IntervalView build only for a side that missed. descend covers the
+/// synchronized descent through candidate dedup, refine covers predicate
+/// evaluation and output assembly.
 struct CrossMatchPhaseTimes {
   double pin_us = 0;
   double descend_us = 0;
@@ -193,12 +194,13 @@ std::vector<std::pair<uint32_t, uint32_t>> CrossMatch(
     const CrossMatchOptions& opts, util::WorkStealingPool* pool = nullptr,
     CrossMatchStats* stats = nullptr, CrossMatchPhaseTimes* phases = nullptr);
 
-/// Convenience: builds both views, then runs CrossMatch. The view builds
-/// are the pin phase of `phases`.
+/// Convenience for one-off joins (tests, examples): builds both views,
+/// then runs CrossMatch. The served path (DatasetCrossMatcher) reuses
+/// cached views instead.
 std::vector<std::pair<uint32_t, uint32_t>> CrossMatchIndexes(
     const service::ShardedIndex& a, const service::ShardedIndex& b,
     const CrossMatchOptions& opts, util::WorkStealingPool* pool = nullptr,
-    CrossMatchStats* stats = nullptr, CrossMatchPhaseTimes* phases = nullptr);
+    CrossMatchStats* stats = nullptr);
 
 /// Index-free oracle: tests every polygon pair (MBR-pruned) with the same
 /// predicates. `skip_a` / `skip_b` name global ids to exclude (removed

@@ -1,7 +1,7 @@
 // Per-request tracing for JOIN_DATASETS crossmatch requests — the
 // polygon×polygon analogue of service/trace.h. The seven stages tile the
 // request's server-side lifetime: admission check, payload decode, queue
-// wait, snapshot pin + probe-surface build, synchronized descent (through
+// wait, snapshot pin + probe-surface lookup, synchronized descent (through
 // candidate dedup), predicate refinement, and the response stream's
 // encode+delivery. The same acceptance contract as JOIN_BATCH traces
 // applies: the sum lands within 10% of a loopback client's wall time.
@@ -21,7 +21,8 @@ enum class CrossMatchStage : uint8_t {
   kAdmission = 0,  // admission-control decision, both sides charged
   kDecode = 1,     // wire payload -> CrossMatchRequest
   kQueue = 2,      // service-queue wait until a worker picks it up
-  kPin = 3,        // snapshot pin + IntervalView flatten/coarsen, both sides
+  kPin = 3,        // snapshot pin + view-cache lookup, both sides; includes
+                   // the IntervalView build only on a cache miss
   kDescend = 4,    // synchronized dual-trie descent + candidate dedup
   kRefine = 5,     // polygon-polygon predicate evaluation + output assembly
   kStream = 6,     // PAIR_RESULT chunk encode + delivery to the event loop

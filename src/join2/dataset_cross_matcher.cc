@@ -46,6 +46,15 @@ void DatasetCrossMatcher::RegisterMetrics() {
                             "Deepest span pair of the last crossmatch");
   service_time_us_ = m->GetHistogram("crossmatch_service_time_us",
                                      "Crossmatch service time per request");
+  view_cache_hits_total_ = m->GetCounter(
+      "crossmatch_view_cache_hits_total",
+      "Crossmatch sides served from the per-snapshot probe-surface cache");
+  view_cache_misses_total_ = m->GetCounter(
+      "crossmatch_view_cache_misses_total",
+      "Crossmatch sides whose probe surface was built for a new snapshot");
+  view_build_us_ = m->GetHistogram(
+      "crossmatch_view_build_us",
+      "IntervalView build time per crossmatch view-cache miss");
 }
 
 namespace {
@@ -61,6 +70,55 @@ CrossMatchStatus ValidateSide(const service::ServiceCatalog& catalog,
 }
 
 }  // namespace
+
+std::shared_ptr<const IntervalView> DatasetCrossMatcher::ViewOf(
+    uint16_t id, uint64_t epoch,
+    const service::ServiceCatalog::Snapshot& pinned) {
+  // Locked weak_ptrs and replaced views are released after the lock: the
+  // last reference to a retired snapshot may be one of them.
+  service::ServiceCatalog::Snapshot cached;
+  {
+    std::lock_guard<std::mutex> lock(views_mu_);
+    ViewSlot& slot = views_[id];
+    cached = slot.snapshot.lock();
+    if (cached == pinned) {
+      if (view_cache_hits_total_ != nullptr) view_cache_hits_total_->Inc();
+      return slot.view;
+    }
+  }
+  cached.reset();  // not kept alive through the build
+  util::WallTimer build_timer;
+  auto view = std::make_shared<const IntervalView>(
+      IntervalView::FromIndex(*pinned));
+  if (view_cache_misses_total_ != nullptr) {
+    view_cache_misses_total_->Inc();
+    view_build_us_->Record(build_timer.ElapsedSeconds() * 1e6);
+  }
+  std::vector<std::shared_ptr<const IntervalView>> released;
+  {
+    std::lock_guard<std::mutex> lock(views_mu_);
+    ViewSlot& slot = views_[id];
+    // Epochs only grow per dataset, so a build that raced a newer one
+    // never displaces it.
+    if (epoch >= slot.epoch) {
+      slot.snapshot = pinned;
+      released.push_back(std::exchange(slot.view, view));
+      slot.epoch = epoch;
+    }
+    // A slot whose snapshot has expired can never hit again (a pinned
+    // snapshot is alive); drop its view rather than keep it until that
+    // dataset's next crossmatch, which after a drop may never come.
+    for (auto it = views_.begin(); it != views_.end();) {
+      if (it->second.snapshot.expired()) {
+        released.push_back(std::move(it->second.view));
+        it = views_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+  return view;
+}
 
 CrossMatchOutcome DatasetCrossMatcher::Execute(const CrossMatchRequest& req,
                                                double queue_wait_us) {
@@ -79,19 +137,25 @@ CrossMatchOutcome DatasetCrossMatcher::Execute(const CrossMatchRequest& req,
   }
   // Pin both snapshots for the duration of the join. Servable() was true
   // above, so both registries exist and have published (epoch != 0); a
-  // concurrent swap/delta/drop retires neither pinned snapshot.
+  // concurrent swap/delta/drop retires neither pinned snapshot. The pins
+  // also keep the source indexes of both views alive while they are used.
+  util::WallTimer pin_timer;
   service::ServiceCatalog::Snapshot snap_a =
       catalog.Find(req.dataset_a)->Acquire(&out.epoch_a);
   service::ServiceCatalog::Snapshot snap_b =
       catalog.Find(req.dataset_b)->Acquire(&out.epoch_b);
+  std::shared_ptr<const IntervalView> view_a =
+      ViewOf(req.dataset_a, out.epoch_a, snap_a);
+  std::shared_ptr<const IntervalView> view_b =
+      ViewOf(req.dataset_b, out.epoch_b, snap_b);
+  CrossMatchPhaseTimes phases;
+  phases.pin_us = pin_timer.ElapsedSeconds() * 1e6;
 
   CrossMatchOptions opts;
   opts.mode = req.mode;
   opts.threads = service_->options().threads_per_join;
-  CrossMatchPhaseTimes phases;
-  out.pairs = CrossMatchIndexes(*snap_a, *snap_b, opts,
-                                service_->shared_pool(), &out.stats,
-                                req.trace ? &phases : nullptr);
+  out.pairs = CrossMatch(*view_a, *view_b, opts, service_->shared_pool(),
+                         &out.stats, req.trace ? &phases : nullptr);
   out.service_us = timer.ElapsedSeconds() * 1e6;
 
   if (req.trace) {
@@ -100,9 +164,9 @@ CrossMatchOutcome DatasetCrossMatcher::Execute(const CrossMatchRequest& req,
     out.trace.at(CrossMatchStage::kQueue) = out.queue_wait_us;
     out.trace.at(CrossMatchStage::kPin) = phases.pin_us;
     out.trace.at(CrossMatchStage::kDescend) = phases.descend_us;
-    // Refine absorbs the service-wall leftover (validation, snapshot
-    // acquire, result move) so the worker-side stages tile service_us —
-    // the same discipline as JOIN_BATCH's merge stage.
+    // Refine absorbs the service-wall leftover (validation, result move)
+    // so the worker-side stages tile service_us — the same discipline as
+    // JOIN_BATCH's merge stage.
     const double leftover =
         out.service_us - phases.pin_us - phases.descend_us - phases.refine_us;
     out.trace.at(CrossMatchStage::kRefine) =

@@ -18,12 +18,26 @@
 // threads_per_join-wide pool), both datasets are charged through the
 // per-dataset traffic counters, completions feed the slow-query log, and
 // per-join figures land in the service's MetricsRegistry.
+//
+// Probe surfaces are cached per snapshot. A published ShardedIndex never
+// changes, so neither does the IntervalView built from it: the matcher
+// keeps one slot per dataset id holding the last view and a weak_ptr to
+// the snapshot it was built from. A request reuses the slot's view only
+// when that weak_ptr still names the very snapshot the request pinned;
+// otherwise it builds the view (outside the slot lock) and installs it.
+// An unchanged dataset therefore builds its view once, and a mutated one
+// once per published epoch rather than once per request. The weak_ptr
+// keeps the cache from extending a retired snapshot's lifetime — only a
+// request's own pin keeps an index alive while its view is in use.
 
 #ifndef ACTJOIN_JOIN2_DATASET_CROSS_MATCHER_H_
 #define ACTJOIN_JOIN2_DATASET_CROSS_MATCHER_H_
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <mutex>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -96,11 +110,28 @@ class DatasetCrossMatcher {
       std::function<void(CrossMatchOutcome)> done);
 
  private:
+  /// The last probe surface built for one dataset and the snapshot it
+  /// was built from (epoch orders concurrent installs).
+  struct ViewSlot {
+    std::weak_ptr<const service::ShardedIndex> snapshot;
+    std::shared_ptr<const IntervalView> view;
+    uint64_t epoch = 0;
+  };
+
   CrossMatchOutcome Execute(const CrossMatchRequest& req,
                             double queue_wait_us);
+  /// The view of `pinned` (dataset `id`'s snapshot at `epoch`): the cached
+  /// one when its slot still names `pinned`, else freshly built and
+  /// installed. The caller's pin must outlive its use of the view.
+  std::shared_ptr<const IntervalView> ViewOf(
+      uint16_t id, uint64_t epoch,
+      const service::ServiceCatalog::Snapshot& pinned);
   void RegisterMetrics();
 
   service::JoinService* service_;
+
+  std::mutex views_mu_;
+  std::unordered_map<uint16_t, ViewSlot> views_;  // keyed by dataset id
 
   // Owned-instrument pointers are stable for the registry's lifetime;
   // null when metrics are disabled.
@@ -112,6 +143,9 @@ class DatasetCrossMatcher {
   util::Counter* pruned_span_pairs_total_ = nullptr;
   util::Gauge* last_depth_ = nullptr;
   util::Histogram* service_time_us_ = nullptr;
+  util::Counter* view_cache_hits_total_ = nullptr;
+  util::Counter* view_cache_misses_total_ = nullptr;
+  util::Histogram* view_build_us_ = nullptr;
 };
 
 }  // namespace actjoin::join2

@@ -3,9 +3,10 @@
 // (truncation at every boundary, forged counts, bad mode/flags/reserved),
 // and the served crossmatch must be byte-identical over loopback to the
 // in-process matcher — in both modes, across pagination boundaries, and
-// across concurrent delta mutations on one side. Suites are named
-// CrossMatchWire* so the TSan CI job's filter runs the concurrent ones
-// under ThreadSanitizer.
+// across concurrent delta mutations on one side — and repeated requests on
+// unchanged epochs must reuse the server's cached probe surfaces. Suites
+// are named CrossMatchWire* so the TSan CI job's filter runs the
+// concurrent ones under ThreadSanitizer.
 //
 // Threading discipline: gtest assertions run only on the main thread;
 // client threads record observations into plain structs that are joined
@@ -330,6 +331,70 @@ TEST(CrossMatchWireServer, PaginationReassemblesTheSortedStream) {
 
   // Same connection still serves point joins and pings afterwards.
   ASSERT_TRUE(client.Ping(&error)) << error;
+}
+
+/// Value of an unlabelled counter in a GET_METRICS report (-1: absent).
+double CounterValue(const MetricsReport& report, const std::string& name) {
+  for (const MetricSample& s : report.samples) {
+    if (s.name == name && s.labels.empty()) return s.value;
+  }
+  return -1;
+}
+
+TEST(CrossMatchWireServer, RepeatedJoinDatasetsReuseCachedViews) {
+  ServerFixture fx;
+  std::string error;
+  ASSERT_TRUE(fx.Start(&error)) << error;
+  JoinClient client;
+  ASSERT_TRUE(client.Connect(fx.server->host(), fx.server->port(), &error))
+      << error;
+  auto expect_cache = [&](double hits, double misses) {
+    MetricsReport report;
+    ASSERT_TRUE(client.GetMetrics(&report, &error)) << error;
+    EXPECT_EQ(CounterValue(report, "crossmatch_view_cache_hits_total"), hits);
+    EXPECT_EQ(CounterValue(report, "crossmatch_view_cache_misses_total"),
+              misses);
+  };
+
+  // Unchanged epochs: one build per side, then every side hits, and every
+  // reply is byte-identical to the oracle.
+  const auto want =
+      join2::BruteForceCrossMatch(fx.pa, fx.pb, CrossMatchMode::kIntersects);
+  uint64_t epoch_b = 0;
+  for (int i = 0; i < 3; ++i) {
+    JoinClient::CrossMatchReply reply =
+        client.CrossMatch(fx.id_a, {.dataset_b = fx.id_b});
+    ASSERT_TRUE(reply.ok) << reply.message;
+    EXPECT_EQ(reply.pairs, want) << "run " << i;
+    epoch_b = reply.stats.epoch_b;
+  }
+  expect_cache(/*hits=*/4, /*misses=*/2);
+
+  // A published delta on b: the next reply misses on b only, reports the
+  // new epoch and matches the oracle over the grown polygon set.
+  std::vector<geom::Polygon> add = {
+      wl::RandomStarPolygon({-73.95, 40.7}, 0.05, 12, 777)};
+  service::MutationResult grown = fx.service->AddPolygons(fx.id_b, add);
+  ASSERT_EQ(grown.status, service::MutationStatus::kApplied);
+  ASSERT_GT(grown.epoch, epoch_b);
+  std::vector<geom::Polygon> pb2 = fx.pb;
+  pb2.push_back(add[0]);
+  JoinClient::CrossMatchReply reply =
+      client.CrossMatch(fx.id_a, {.dataset_b = fx.id_b});
+  ASSERT_TRUE(reply.ok) << reply.message;
+  EXPECT_EQ(reply.stats.epoch_b, grown.epoch);
+  EXPECT_EQ(reply.pairs, join2::BruteForceCrossMatch(
+                             fx.pa, pb2, CrossMatchMode::kIntersects));
+  expect_cache(/*hits=*/5, /*misses=*/3);
+
+  // The Prometheus rendering carries the same instruments.
+  std::string text;
+  ASSERT_TRUE(client.GetMetricsText(&text, &error)) << error;
+  for (const char* needle : {"actjoin_crossmatch_view_cache_hits_total 5",
+                             "actjoin_crossmatch_view_cache_misses_total 3",
+                             "actjoin_crossmatch_view_build_us_count 3"}) {
+    EXPECT_NE(text.find(needle), std::string::npos) << needle;
+  }
 }
 
 TEST(CrossMatchWireServer, TracedCrossMatchStagesTileWallTime) {

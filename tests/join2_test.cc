@@ -4,18 +4,23 @@
 // adversarial fixtures (shared edges, containment nests, empty overlap),
 // in both modes, at every thread width; and the dataset-level matcher must
 // enforce the catalog's typed-rejection contract while pinning consistent
-// epoch pairs across concurrent mutations. Suites are named Join2* so the
-// TSan CI job's filter runs the concurrent ones under ThreadSanitizer.
+// epoch pairs across concurrent mutations, reusing each snapshot's probe
+// surface from its view cache without ever serving a stale one. Suites are
+// named Join2* / CrossMatch* so the TSan CI job's filter runs the
+// concurrent ones under ThreadSanitizer.
 //
 // Seeding convention (full rationale in util_test.cc): random data comes
 // only from the workload factories with explicit literal seeds.
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <future>
+#include <map>
 #include <memory>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -28,6 +33,7 @@
 #include "join2/dataset_cross_matcher.h"
 #include "service/join_service.h"
 #include "service/sharded_index.h"
+#include "util/metrics.h"
 #include "workloads/datasets.h"
 #include "workloads/polygon_gen.h"
 
@@ -494,6 +500,243 @@ TEST(Join2Concurrency, CrossMatchesRaceWithMutations) {
   EXPECT_EQ(final_out.pairs,
             BruteForceCrossMatch(fx.pa, pb2, CrossMatchMode::kIntersects,
                                  skip, {}));
+}
+
+// --- Per-snapshot view cache -------------------------------------------------
+
+/// Reads the matcher's view-cache instruments from the service registry.
+struct ViewCacheCounts {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t builds = 0;  // crossmatch_view_build_us sample count
+
+  static ViewCacheCounts Of(JoinService& service) {
+    util::MetricsRegistry* m = service.metrics();
+    return {
+        m->GetCounter("crossmatch_view_cache_hits_total", "")->value(),
+        m->GetCounter("crossmatch_view_cache_misses_total", "")->value(),
+        m->GetHistogram("crossmatch_view_build_us", "")->Snapshot().count()};
+  }
+};
+
+TEST(CrossMatchViewCache, RepeatedJoinsOnUnchangedEpochsHit) {
+  TwoDatasetService fx;
+  DatasetCrossMatcher matcher(fx.service.get());
+  ASSERT_NE(fx.service->metrics(), nullptr);
+  int runs = 0;
+  for (CrossMatchMode mode :
+       {CrossMatchMode::kIntersects, CrossMatchMode::kContains}) {
+    const Pairs want = BruteForceCrossMatch(fx.pa, fx.pb, mode);
+    CrossMatchOutcome first;
+    for (int i = 0; i < 3; ++i, ++runs) {
+      CrossMatchOutcome out = matcher.Run(
+          {.dataset_a = fx.id_a, .dataset_b = fx.id_b, .mode = mode});
+      ASSERT_EQ(out.status, CrossMatchStatus::kOk);
+      EXPECT_EQ(out.pairs, want) << ToString(mode) << " run " << i;
+      if (i == 0) {
+        first = std::move(out);
+        continue;
+      }
+      EXPECT_EQ(out.epoch_a, first.epoch_a);
+      EXPECT_EQ(out.epoch_b, first.epoch_b);
+      ExpectStatsEqual(out.stats, first.stats);
+    }
+  }
+  // Only the first join built views, one per side; the mode is not part
+  // of the key, so every later side — either mode — was a hit.
+  ViewCacheCounts counts = ViewCacheCounts::Of(*fx.service);
+  EXPECT_EQ(counts.misses, 2u);
+  EXPECT_EQ(counts.builds, 2u);
+  EXPECT_EQ(counts.hits, 2u * static_cast<uint64_t>(runs) - 2u);
+
+  // A self-join shares one slot: the a-side lookup is the b-side's hit.
+  CrossMatchOutcome self = matcher.Run(
+      {.dataset_a = fx.id_b, .dataset_b = fx.id_b});
+  ASSERT_EQ(self.status, CrossMatchStatus::kOk);
+  EXPECT_EQ(self.pairs, BruteForceCrossMatch(fx.pb, fx.pb,
+                                             CrossMatchMode::kIntersects));
+  EXPECT_EQ(ViewCacheCounts::Of(*fx.service).misses, 2u);
+}
+
+TEST(CrossMatchViewCache, EachPublishMissesOnceAndMatchesItsEpoch) {
+  TwoDatasetService fx;
+  DatasetCrossMatcher matcher(fx.service.get());
+  ASSERT_NE(fx.service->metrics(), nullptr);
+  CrossMatchRequest req{.dataset_a = fx.id_a, .dataset_b = fx.id_b};
+  ViewCacheCounts last = ViewCacheCounts::Of(*fx.service);
+  // Runs the crossmatch and checks how many sides missed since the last
+  // call (the rest of the two sides hit).
+  auto run = [&](uint64_t want_misses) {
+    CrossMatchOutcome out = matcher.Run(req);
+    ViewCacheCounts now = ViewCacheCounts::Of(*fx.service);
+    EXPECT_EQ(now.misses - last.misses, want_misses);
+    EXPECT_EQ(now.hits - last.hits, 2 - want_misses);
+    EXPECT_EQ(now.builds - last.builds, want_misses);
+    last = now;
+    return out;
+  };
+  CrossMatchOutcome base = run(2);
+  ASSERT_EQ(base.status, CrossMatchStatus::kOk);
+
+  // ADD_POLYGONS on b: the b-side misses once, then hits again. An
+  // in-flight request still pins the old snapshot, so the cached view of
+  // it stays reachable — and must still not be served for the new one.
+  service::ServiceCatalog::Snapshot in_flight =
+      fx.service->catalog().Find(fx.id_b)->Acquire();
+  std::vector<geom::Polygon> added = {CenteredSquare(0.07)};
+  service::MutationResult add = fx.service->AddPolygons(fx.id_b, added);
+  ASSERT_EQ(add.status, service::MutationStatus::kApplied);
+  std::vector<geom::Polygon> pb2 = fx.pb;
+  pb2.push_back(added[0]);
+  const Pairs want_added =
+      BruteForceCrossMatch(fx.pa, pb2, CrossMatchMode::kIntersects);
+  CrossMatchOutcome out = run(1);
+  ASSERT_EQ(out.status, CrossMatchStatus::kOk);
+  EXPECT_EQ(out.epoch_a, base.epoch_a);
+  EXPECT_EQ(out.epoch_b, add.epoch);
+  EXPECT_EQ(out.pairs, want_added);
+  out = run(0);
+  EXPECT_EQ(out.epoch_b, add.epoch);
+  EXPECT_EQ(out.pairs, want_added);
+  in_flight.reset();
+
+  // REMOVE_POLYGONS on a: the a-side misses once.
+  service::MutationResult remove = fx.service->RemovePolygons(fx.id_a, {0, 3});
+  ASSERT_EQ(remove.status, service::MutationStatus::kApplied);
+  const std::vector<uint32_t> skip = {0, 3};
+  out = run(1);
+  ASSERT_EQ(out.status, CrossMatchStatus::kOk);
+  EXPECT_EQ(out.epoch_a, remove.epoch);
+  EXPECT_EQ(out.pairs, BruteForceCrossMatch(
+                           fx.pa, pb2, CrossMatchMode::kIntersects, skip, {}));
+
+  // DROP_DATASET on b rejects without touching the cache; a full publish
+  // resurrects it with a new polygon set, which the next join misses on.
+  ASSERT_EQ(fx.service->DropDataset(fx.id_b).status,
+            service::MutationStatus::kApplied);
+  EXPECT_EQ(matcher.Run(req).status, CrossMatchStatus::kDatasetDropped);
+  EXPECT_EQ(ViewCacheCounts::Of(*fx.service).misses, last.misses);
+  const std::vector<geom::Polygon> pc = Partition(4, 4, 353);
+  const uint64_t republished =
+      fx.service->SwapIndex(fx.id_b, BuildShared(pc, Grid(), 2));
+  out = run(1);
+  ASSERT_EQ(out.status, CrossMatchStatus::kOk);
+  EXPECT_EQ(out.epoch_b, republished);
+  EXPECT_EQ(out.pairs, BruteForceCrossMatch(
+                           fx.pa, pc, CrossMatchMode::kIntersects, skip, {}));
+  out = run(0);
+  EXPECT_EQ(out.epoch_b, republished);
+}
+
+TEST(CrossMatchViewCache, KeepsNoRetiredSnapshotAlive) {
+  TwoDatasetService fx;
+  DatasetCrossMatcher matcher(fx.service.get());
+  std::weak_ptr<const ShardedIndex> retired;
+  uint64_t pinned_epoch = 0;
+  {
+    service::ServiceCatalog::Snapshot pinned =
+        fx.service->catalog().Find(fx.id_b)->Acquire(&pinned_epoch);
+    retired = pinned;
+    // The crossmatch runs on — and caches a view of — this very snapshot.
+    CrossMatchOutcome out =
+        matcher.Run({.dataset_a = fx.id_a, .dataset_b = fx.id_b});
+    ASSERT_EQ(out.status, CrossMatchStatus::kOk);
+    ASSERT_EQ(out.epoch_b, pinned_epoch);
+  }
+  EXPECT_FALSE(retired.expired());  // still the published snapshot
+
+  std::vector<geom::Polygon> added = {CenteredSquare(0.05)};
+  ASSERT_EQ(fx.service->AddPolygons(fx.id_b, added).status,
+            service::MutationStatus::kApplied);
+  // Published over and no caller holds it: only the cache's weak_ptr is
+  // left, which must not keep it alive.
+  EXPECT_TRUE(retired.expired());
+
+  // Dropping the dataset retires the snapshot the cache last saw, too.
+  CrossMatchOutcome out =
+      matcher.Run({.dataset_a = fx.id_a, .dataset_b = fx.id_b});
+  ASSERT_EQ(out.status, CrossMatchStatus::kOk);
+  retired = fx.service->catalog().Find(fx.id_b)->Acquire();
+  ASSERT_EQ(fx.service->DropDataset(fx.id_b).status,
+            service::MutationStatus::kApplied);
+  EXPECT_TRUE(retired.expired());
+}
+
+TEST(CrossMatchViewCache, ConcurrentDeltasStayOracleExact) {
+  TwoDatasetService fx;
+  DatasetCrossMatcher matcher(fx.service.get());
+  auto mode_of = [](size_t t) {
+    return t % 2 == 0 ? CrossMatchMode::kIntersects : CrossMatchMode::kContains;
+  };
+
+  // The polygon set behind every epoch each side publishes: a-side
+  // epochs map to the ids removed so far, b-side epochs to the polygons.
+  std::map<uint64_t, std::vector<uint32_t>> skip_at;
+  std::map<uint64_t, std::vector<geom::Polygon>> pb_at;
+  skip_at[fx.service->catalog().Find(fx.id_a)->epoch()] = {};
+  pb_at[fx.service->catalog().Find(fx.id_b)->epoch()] = fx.pb;
+
+  // Joiners record every outcome; assertions run on the main thread.
+  constexpr size_t kJoiners = 3;
+  std::atomic<bool> stop{false};
+  std::array<std::atomic<uint64_t>, kJoiners> completed{};
+  std::vector<std::vector<CrossMatchOutcome>> seen(kJoiners);
+  std::vector<std::thread> joiners;
+  for (size_t t = 0; t < kJoiners; ++t) {
+    joiners.emplace_back([&, t] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        seen[t].push_back(matcher.Run(
+            {.dataset_a = fx.id_a, .dataset_b = fx.id_b, .mode = mode_of(t)}));
+        completed[t].fetch_add(1, std::memory_order_release);
+      }
+    });
+  }
+  std::vector<uint32_t> skip;
+  std::vector<geom::Polygon> pb = fx.pb;
+  for (uint32_t i = 0; i < 6; ++i) {
+    std::vector<geom::Polygon> add = {
+        CenteredSquare(0.02 + 0.01 * static_cast<double>(i))};
+    service::MutationResult grown = fx.service->AddPolygons(fx.id_b, add);
+    ASSERT_EQ(grown.status, service::MutationStatus::kApplied);
+    pb.push_back(add[0]);
+    pb_at[grown.epoch] = pb;
+    service::MutationResult shrunk = fx.service->RemovePolygons(fx.id_a, {i});
+    ASSERT_EQ(shrunk.status, service::MutationStatus::kApplied);
+    skip.push_back(i);
+    skip_at[shrunk.epoch] = skip;
+  }
+  // Every joiner finishes two more joins, so each has joined the final
+  // epochs at least once (and, past its first, from the cache).
+  for (size_t t = 0; t < kJoiners; ++t) {
+    const uint64_t mark = completed[t].load(std::memory_order_acquire);
+    while (completed[t].load(std::memory_order_acquire) < mark + 2) {
+      std::this_thread::yield();
+    }
+  }
+  stop.store(true);
+  for (auto& th : joiners) th.join();
+
+  // Every outcome equals the oracle of the exact epoch pair it reports.
+  std::map<std::tuple<uint64_t, uint64_t, CrossMatchMode>, Pairs> oracle;
+  for (size_t t = 0; t < kJoiners; ++t) {
+    for (const CrossMatchOutcome& out : seen[t]) {
+      ASSERT_EQ(out.status, CrossMatchStatus::kOk);
+      ASSERT_EQ(skip_at.count(out.epoch_a), 1u) << out.epoch_a;
+      ASSERT_EQ(pb_at.count(out.epoch_b), 1u) << out.epoch_b;
+      const auto key = std::make_tuple(out.epoch_a, out.epoch_b, mode_of(t));
+      auto it = oracle.find(key);
+      if (it == oracle.end()) {
+        Pairs want = BruteForceCrossMatch(fx.pa, pb_at[out.epoch_b],
+                                          mode_of(t), skip_at[out.epoch_a]);
+        it = oracle.emplace(key, std::move(want)).first;
+      }
+      EXPECT_EQ(out.pairs, it->second)
+          << "epochs " << out.epoch_a << "/" << out.epoch_b;
+    }
+    ASSERT_FALSE(seen[t].empty());
+    EXPECT_EQ(seen[t].back().epoch_a, skip_at.rbegin()->first);
+    EXPECT_EQ(seen[t].back().epoch_b, pb_at.rbegin()->first);
+  }
 }
 
 }  // namespace
