@@ -14,10 +14,15 @@
 //     byte-identically to a restart from one compacted full snapshot of the
 //     same mutated index.
 //
-// --smoke appends `delta_update_apply` / `delta_update_rebuild` lines to
-// bench_smoke.json (wall_ms carries the signal; throughput_mps is polygons
-// mutated per second, in millions) and *fails* unless the apply beats the
-// rebuild — the mutation path's acceptance criterion.
+// A served-shape pair of rows times what one wire frame costs: a 1-polygon
+// REMOVE and a 4-polygon ADD against a standing census index, each against
+// the full census rebuild.
+//
+// --smoke appends `delta_update_apply` / `delta_update_rebuild` /
+// `delta_update_remove1` / `delta_update_add4` lines to bench_smoke.json
+// (wall_ms carries the signal; throughput_mps is polygons mutated per
+// second, in millions) and *fails* unless every apply beats its rebuild —
+// the mutation path's acceptance criterion.
 //
 // Extra flags: --shards, --churn (fraction of each dataset arriving as the
 // live add batch), --store_dir.
@@ -208,6 +213,74 @@ int Run(int argc, char** argv) {
                 util::TablePrinter::Fmt(
                     total_apply_s > 0 ? total_rebuild_s / total_apply_s : 0,
                     1)});
+
+  // Served shape: one REMOVE / ADD frame against a standing census index,
+  // the per-request cost of the mutation path. Both are timed against the
+  // full rebuild a mutation without ApplyDelta would pay.
+  const wl::PolygonDataset& census = datasets.back();
+  const size_t n_census_base = census.polygons.size() - 4;
+  std::vector<geom::Polygon> census_base(
+      census.polygons.begin(),
+      census.polygons.begin() + static_cast<ptrdiff_t>(n_census_base));
+  auto census_index = std::make_shared<const service::ShardedIndex>(
+      service::ShardedIndex::Build(census_base, env.grid, sharding));
+  service::ShardedIndex::Delta remove1, add4;
+  remove1.remove = {static_cast<uint32_t>(n_census_base / 2)};
+  add4.add.assign(census.polygons.begin() +
+                      static_cast<ptrdiff_t>(n_census_base),
+                  census.polygons.end());
+  double census_rebuild_s = 0, remove1_s = 0, add4_s = 0;
+  std::shared_ptr<const service::ShardedIndex> census_rebuilt, removed1,
+      added4;
+  auto best_of = [&](double seconds, double* best) {
+    if (*best == 0 || seconds < *best) *best = seconds;
+  };
+  for (int r = 0; r < env.reps; ++r) {
+    util::WallTimer timer;
+    census_rebuilt = std::make_shared<const service::ShardedIndex>(
+        service::ShardedIndex::Build(census.polygons, env.grid, sharding));
+    best_of(timer.ElapsedSeconds(), &census_rebuild_s);
+    timer.Restart();
+    removed1 = service::ShardedIndex::ApplyDelta(*census_index, remove1).index;
+    best_of(timer.ElapsedSeconds(), &remove1_s);
+    timer.Restart();
+    added4 = service::ShardedIndex::ApplyDelta(*census_index, add4).index;
+    best_of(timer.ElapsedSeconds(), &add4_s);
+  }
+  // Correctness first: the add reaches the rebuilt index, the remove
+  // drops exactly the removed polygon's pairs.
+  wl::PointSet census_pts = wl::TaxiPoints(
+      census.mbr, std::min<uint64_t>(env.points, 50'000), env.grid, 92);
+  auto base_pairs = census_index->JoinPairs(census_pts.AsJoinInput(),
+                                            act::JoinMode::kExact);
+  std::erase_if(base_pairs, [&](const auto& pair) {
+    return pair.second == remove1.remove[0];
+  });
+  if (!SameJoin(added4->Join(census_pts.AsJoinInput(),
+                             {act::JoinMode::kExact, 1}),
+                census_rebuilt->Join(census_pts.AsJoinInput(),
+                                     {act::JoinMode::kExact, 1})) ||
+      removed1->JoinPairs(census_pts.AsJoinInput(), act::JoinMode::kExact) !=
+          base_pairs) {
+    std::fprintf(stderr,
+                 "delta_update: served-shape delta diverged from its "
+                 "oracle (census)\n");
+    return 1;
+  }
+  struct ServedRow {
+    const char* label;
+    const char* changed;
+    double seconds;
+  };
+  for (const ServedRow& row : {ServedRow{"census REMOVE 1", "-1", remove1_s},
+                               ServedRow{"census ADD 4", "+4", add4_s}}) {
+    table.AddRow({row.label, std::to_string(n_census_base), row.changed,
+                  util::TablePrinter::Fmt(census_rebuild_s * 1e3, 2),
+                  util::TablePrinter::Fmt(row.seconds * 1e3, 2),
+                  util::TablePrinter::Fmt(
+                      row.seconds > 0 ? census_rebuild_s / row.seconds : 0,
+                      1)});
+  }
   Emit(env, table);
   store.GarbageCollect();
 
@@ -228,6 +301,11 @@ int Run(int argc, char** argv) {
                                 total_apply_s / 1e6
                           : 0,
                       total_apply_s * 1e3);
+    AppendSmokeReport(SmokeReportPath(), "delta_update_remove1",
+                      remove1_s > 0 ? 1.0 / remove1_s / 1e6 : 0,
+                      remove1_s * 1e3);
+    AppendSmokeReport(SmokeReportPath(), "delta_update_add4",
+                      add4_s > 0 ? 4.0 / add4_s / 1e6 : 0, add4_s * 1e3);
   }
 
   if (env.smoke && total_apply_s >= total_rebuild_s) {
@@ -237,6 +315,16 @@ int Run(int argc, char** argv) {
                  "delta_update: delta apply (%.2f ms) did not beat rebuild "
                  "(%.2f ms)\n",
                  total_apply_s * 1e3, total_rebuild_s * 1e3);
+    return 1;
+  }
+  if (env.smoke &&
+      (remove1_s >= census_rebuild_s || add4_s >= census_rebuild_s)) {
+    // The same gate on the served shape: one frame's delta must beat
+    // rebuilding the dataset it mutates.
+    std::fprintf(stderr,
+                 "delta_update: census REMOVE 1 (%.2f ms) / ADD 4 (%.2f ms) "
+                 "did not beat rebuild (%.2f ms)\n",
+                 remove1_s * 1e3, add4_s * 1e3, census_rebuild_s * 1e3);
     return 1;
   }
   return 0;

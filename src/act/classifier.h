@@ -23,7 +23,7 @@ class PolygonClassifier final : public CellClassifier {
  public:
   PolygonClassifier(const std::vector<geom::Polygon>& polygons,
                     const geo::Grid& grid, int threads = 1)
-      : polygons_(&polygons), grid_(&grid) {
+      : grid_(grid) {
     edge_grids_.resize(polygons.size());
     util::ParallelFor(
         polygons.size(), threads, /*batch=*/1,
@@ -36,7 +36,7 @@ class PolygonClassifier final : public CellClassifier {
 
   geom::RegionRelation Classify(uint32_t polygon_id,
                                 const geo::CellId& cell) const override {
-    geo::LatLngRect r = grid_->CellRect(cell);
+    geo::LatLngRect r = grid_.CellRect(cell);
     return edge_grids_[polygon_id]->Classify(
         geom::Rect::Of(r.lng_lo, r.lat_lo, r.lng_hi, r.lat_hi));
   }
@@ -45,12 +45,13 @@ class PolygonClassifier final : public CellClassifier {
     return *edge_grids_[polygon_id];
   }
 
-  const std::vector<geom::Polygon>& polygons() const { return *polygons_; }
-  const geo::Grid& grid() const { return *grid_; }
+  const geo::Grid& grid() const { return grid_; }
 
  private:
-  const std::vector<geom::Polygon>* polygons_;
-  const geo::Grid* grid_;
+  // By value: a PolygonIndex moves its classifier along with its own grid
+  // and polygons, so a pointer back into the owner would dangle. The edge
+  // grids point at polygon elements, which a vector move keeps in place.
+  geo::Grid grid_;
   std::vector<std::unique_ptr<geom::EdgeGrid>> edge_grids_;
 };
 

@@ -1,9 +1,63 @@
 #include "act/pipeline.h"
 
+#include <algorithm>
+
 #include "util/parallel_for.h"
 #include "util/timer.h"
 
 namespace actjoin::act {
+
+namespace {
+
+int ThreadBudget(const BuildOptions& opts) {
+  return opts.threads <= 0 ? util::DefaultThreadCount() : opts.threads;
+}
+
+// Boundary and interior coverings of polygons [first, first + count), in
+// parallel over polygons; slot i holds polygon first + i.
+void ComputeCoverings(const PolygonClassifier& classifier,
+                      const geo::Grid& grid, const BuildOptions& opts,
+                      uint32_t first, uint32_t count,
+                      std::vector<std::vector<geo::CellId>>* coverings,
+                      std::vector<std::vector<geo::CellId>>* interiors) {
+  cover::CovererOptions cover_opts{opts.approx.max_covering_cells,
+                                   opts.approx.max_covering_level, 0};
+  cover::CovererOptions interior_opts{opts.approx.max_interior_cells,
+                                      opts.approx.max_interior_level, 0};
+  coverings->assign(count, {});
+  interiors->assign(count, {});
+  util::ParallelFor(count, ThreadBudget(opts), /*batch=*/1,
+                    [&](uint64_t begin, uint64_t end, int) {
+                      for (uint64_t i = begin; i < end; ++i) {
+                        cover::Coverer coverer(
+                            classifier.edge_grid(
+                                first + static_cast<uint32_t>(i)),
+                            grid);
+                        (*coverings)[i] = coverer.Covering(cover_opts);
+                        (*interiors)[i] =
+                            coverer.InteriorCovering(interior_opts);
+                      }
+                    });
+}
+
+}  // namespace
+
+void CoalesceRanges(std::vector<std::pair<uint64_t, uint64_t>>* ranges) {
+  if (ranges->empty()) return;
+  std::sort(ranges->begin(), ranges->end());
+  size_t w = 0;
+  for (size_t i = 1; i < ranges->size(); ++i) {
+    auto& cur = (*ranges)[w];
+    const auto& next = (*ranges)[i];
+    // Adjacent leaf intervals coalesce too (max avoids overflow bait).
+    if (next.first <= cur.second || next.first == cur.second + 1) {
+      cur.second = std::max(cur.second, next.second);
+    } else {
+      (*ranges)[++w] = next;
+    }
+  }
+  ranges->resize(w + 1);
+}
 
 SuperCovering BuildSuperCovering(const std::vector<geom::Polygon>& polygons,
                                  const geo::Grid& grid,
@@ -13,28 +67,15 @@ SuperCovering BuildSuperCovering(const std::vector<geom::Polygon>& polygons,
   ACT_CHECK(!polygons.empty());
   ACT_CHECK_MSG(polygons.size() <= kMaxPolygonId + uint64_t{1},
                 "polygon ids are limited to 30 bits");
-  int threads = opts.threads <= 0 ? util::DefaultThreadCount() : opts.threads;
 
   // Phase 1: individual polygon approximations, parallelized over polygons
   // (paper: "the computation of the individual coverings is parallelized
   // over the number of polygons").
   util::WallTimer timer;
-  cover::CovererOptions cover_opts{opts.approx.max_covering_cells,
-                                   opts.approx.max_covering_level, 0};
-  cover::CovererOptions interior_opts{opts.approx.max_interior_cells,
-                                      opts.approx.max_interior_level, 0};
-  std::vector<std::vector<geo::CellId>> coverings(polygons.size());
-  std::vector<std::vector<geo::CellId>> interiors(polygons.size());
-  util::ParallelFor(polygons.size(), threads, /*batch=*/1,
-                    [&](uint64_t begin, uint64_t end, int) {
-                      for (uint64_t i = begin; i < end; ++i) {
-                        cover::Coverer coverer(classifier.edge_grid(
-                                                   static_cast<uint32_t>(i)),
-                                               grid);
-                        coverings[i] = coverer.Covering(cover_opts);
-                        interiors[i] = coverer.InteriorCovering(interior_opts);
-                      }
-                    });
+  std::vector<std::vector<geo::CellId>> coverings, interiors;
+  ComputeCoverings(classifier, grid, opts, 0,
+                   static_cast<uint32_t>(polygons.size()), &coverings,
+                   &interiors);
   if (timings != nullptr) {
     timings->individual_coverings_s = timer.ElapsedSeconds();
   }
@@ -90,86 +131,158 @@ PolygonIndex PolygonIndex::FromComponents(std::vector<geom::Polygon> polygons,
 }
 
 void PolygonIndex::RebuildClassifier() {
-  int threads =
-      opts_.threads <= 0 ? util::DefaultThreadCount() : opts_.threads;
-  classifier_ =
-      std::make_unique<PolygonClassifier>(polygons_, grid_, threads);
+  classifier_ = std::make_unique<PolygonClassifier>(polygons_, grid_,
+                                                    ThreadBudget(opts_));
+}
+
+PolygonIndex PolygonIndex::WithDelta(
+    std::span<const uint32_t> removed_ids,
+    std::span<const geom::Polygon> added,
+    std::vector<std::pair<uint64_t, uint64_t>>* touched_ranges) const {
+  const uint32_t first_id = static_cast<uint32_t>(polygons_.size());
+  ACT_CHECK_MSG(polygons_.size() + added.size() <= kMaxPolygonId + uint64_t{1},
+                "polygon ids are limited to 30 bits");
+  std::vector<bool> removed(polygons_.size(), false);
+  for (uint32_t pid : removed_ids) {
+    ACT_CHECK(pid < polygons_.size());
+    removed[pid] = true;
+  }
+  auto touch = [&](const geo::CellId& cell) {
+    if (touched_ranges != nullptr) {
+      touched_ranges->emplace_back(cell.range_min().id(),
+                                   cell.range_max().id());
+    }
+  };
+
+  PolygonIndex next(grid_);
+  next.opts_ = opts_;
+  next.timings_ = timings_;  // build-phase timings; Reencode refreshes its own
+  next.polygons_.reserve(polygons_.size() + added.size());
+  next.polygons_.insert(next.polygons_.end(), polygons_.begin(),
+                        polygons_.end());
+  next.polygons_.insert(next.polygons_.end(), added.begin(), added.end());
+  next.RebuildClassifier();
+
+  // Coverings for the added polygons only, and the sorted, coalesced union
+  // of their cells' leaf ranges: the only region the inserts can change.
+  const uint32_t n_added = static_cast<uint32_t>(added.size());
+  std::vector<std::vector<geo::CellId>> coverings, interiors;
+  ComputeCoverings(*next.classifier_, grid_, opts_, first_id, n_added,
+                   &coverings, &interiors);
+  std::vector<std::pair<uint64_t, uint64_t>> region;
+  for (const auto* lists : {&coverings, &interiors}) {
+    for (const std::vector<geo::CellId>& list : *lists) {
+      for (const geo::CellId& c : list) {
+        region.emplace_back(c.range_min().id(), c.range_max().id());
+      }
+    }
+  }
+  CoalesceRanges(&region);
+
+  // One linear pass over the base covering: drop removed references (and
+  // cells left empty), then route each surviving cell either straight to
+  // the output or — when its range meets the added region — into a local
+  // builder. Cells and region are both sorted and disjoint, so one
+  // forward-only cursor over the region answers "meets" for every cell.
+  std::vector<geo::CellId> kept_cells;
+  std::vector<RefList> kept_refs;
+  kept_cells.reserve(covering_.size());
+  kept_refs.reserve(covering_.size());
+  SuperCoveringBuilder local;
+  size_t r = 0;
+  for (size_t i = 0; i < covering_.size(); ++i) {
+    const geo::CellId& cell = covering_.cell(i);
+    const RefList& base_refs = covering_.refs(i);
+    RefList refs;
+    for (const PolygonRef& ref : base_refs) {
+      if (!removed[ref.polygon_id]) refs.push_back(ref);
+    }
+    if (refs.size() != base_refs.size()) touch(cell);
+    if (refs.empty()) continue;  // cell no longer references anything
+    const uint64_t lo = cell.range_min().id(), hi = cell.range_max().id();
+    while (r < region.size() && region[r].second < lo) ++r;
+    if (r < region.size() && region[r].first <= hi) {
+      local.Insert(cell, refs);  // disjoint from its peers: no conflict
+    } else {
+      kept_cells.push_back(cell);
+      kept_refs.push_back(std::move(refs));
+    }
+  }
+
+  // Listing 1 on the local region only: all boundary coverings, then all
+  // interiors, exactly the order a global builder would see them in.
+  for (uint32_t i = 0; i < n_added; ++i) {
+    local.AddCovering(coverings[i], first_id + i, /*interior=*/false);
+  }
+  for (uint32_t i = 0; i < n_added; ++i) {
+    local.AddCovering(interiors[i], first_id + i, /*interior=*/true);
+  }
+  SuperCovering rebuilt = local.Build();
+  auto carries_added = [&](const RefList& refs) {
+    return std::any_of(refs.begin(), refs.end(), [&](const PolygonRef& ref) {
+      return ref.polygon_id >= first_id;
+    });
+  };
+  // Rebuilt cells whose reference list gained an added polygon; refinement
+  // below only subdivides them, so the touched successor cells are found
+  // inside these ranges.
+  std::vector<std::pair<uint64_t, uint64_t>> added_spans;
+  for (size_t i = 0; i < rebuilt.size(); ++i) {
+    if (carries_added(rebuilt.refs(i))) {
+      added_spans.emplace_back(rebuilt.cell(i).range_min().id(),
+                               rebuilt.cell(i).range_max().id());
+    }
+  }
+
+  // Merge the rebuilt region back between the carried-over cells; the two
+  // sets are disjoint, so id order is range order.
+  std::vector<geo::CellId> cells;
+  std::vector<RefList> refs;
+  cells.reserve(kept_cells.size() + rebuilt.size());
+  refs.reserve(kept_cells.size() + rebuilt.size());
+  size_t k = 0;
+  for (size_t j = 0; j < rebuilt.size(); ++j) {
+    while (k < kept_cells.size() && kept_cells[k] < rebuilt.cell(j)) {
+      cells.push_back(kept_cells[k]);
+      refs.push_back(std::move(kept_refs[k]));
+      ++k;
+    }
+    cells.push_back(rebuilt.cell(j));
+    refs.push_back(rebuilt.refs(j));
+  }
+  for (; k < kept_cells.size(); ++k) {
+    cells.push_back(kept_cells[k]);
+    refs.push_back(std::move(kept_refs[k]));
+  }
+  next.covering_ = SuperCovering(std::move(cells), std::move(refs));
+  if (n_added > 0 && opts_.precision_bound_m.has_value()) {
+    next.covering_ = RefineToPrecision(
+        next.covering_, *opts_.precision_bound_m, grid_, *next.classifier_);
+  }
+  if (touched_ranges != nullptr) {
+    const std::vector<geo::CellId>& out = next.covering_.cells();
+    for (const auto& [lo, hi] : added_spans) {
+      auto it = std::lower_bound(
+          out.begin(), out.end(), lo,
+          [](const geo::CellId& c, uint64_t id) { return c.id() < id; });
+      for (; it != out.end() && it->id() <= hi; ++it) {
+        if (carries_added(next.covering_.refs(it - out.begin()))) touch(*it);
+      }
+    }
+  }
+  next.Reencode();  // also compacts the lookup table (paper: periodic reorg)
+  return next;
 }
 
 uint32_t PolygonIndex::AddPolygons(
     std::span<const geom::Polygon> new_polygons) {
-  uint32_t first_id = static_cast<uint32_t>(polygons_.size());
-  ACT_CHECK_MSG(polygons_.size() + new_polygons.size() <=
-                    kMaxPolygonId + uint64_t{1},
-                "polygon ids are limited to 30 bits");
-  for (const geom::Polygon& p : new_polygons) polygons_.push_back(p);
-  // The owned vector may have reallocated; the classifier's edge grids
-  // reference elements, so rebuild it over the full set.
-  RebuildClassifier();
-
-  // Coverings for the new polygons only, in parallel.
-  int threads =
-      opts_.threads <= 0 ? util::DefaultThreadCount() : opts_.threads;
-  cover::CovererOptions cover_opts{opts_.approx.max_covering_cells,
-                                   opts_.approx.max_covering_level, 0};
-  cover::CovererOptions interior_opts{opts_.approx.max_interior_cells,
-                                      opts_.approx.max_interior_level, 0};
-  size_t n_new = new_polygons.size();
-  std::vector<std::vector<geo::CellId>> coverings(n_new);
-  std::vector<std::vector<geo::CellId>> interiors(n_new);
-  util::ParallelFor(n_new, threads, /*batch=*/1,
-                    [&](uint64_t begin, uint64_t end, int) {
-                      for (uint64_t i = begin; i < end; ++i) {
-                        uint32_t pid = first_id + static_cast<uint32_t>(i);
-                        cover::Coverer coverer(classifier_->edge_grid(pid),
-                                               grid_);
-                        coverings[i] = coverer.Covering(cover_opts);
-                        interiors[i] = coverer.InteriorCovering(interior_opts);
-                      }
-                    });
-
-  // Insert into the existing covering one cell at a time — the runtime
-  // update path the paper sketches; conflict resolution handles overlaps
-  // with previously indexed polygons.
-  SuperCoveringBuilder builder = ToBuilder(covering_);
-  for (size_t i = 0; i < n_new; ++i) {
-    uint32_t pid = first_id + static_cast<uint32_t>(i);
-    builder.AddCovering(coverings[i], pid, /*interior=*/false);
-  }
-  for (size_t i = 0; i < n_new; ++i) {
-    uint32_t pid = first_id + static_cast<uint32_t>(i);
-    builder.AddCovering(interiors[i], pid, /*interior=*/true);
-  }
-  covering_ = builder.Build();
-  if (opts_.precision_bound_m.has_value()) {
-    covering_ = RefineToPrecision(covering_, *opts_.precision_bound_m, grid_,
-                                  *classifier_);
-  }
-  Reencode();
+  const uint32_t first_id = static_cast<uint32_t>(polygons_.size());
+  *this = WithDelta({}, new_polygons);
   return first_id;
 }
 
 void PolygonIndex::RemovePolygons(std::span<const uint32_t> polygon_ids) {
-  std::vector<bool> removed(polygons_.size(), false);
-  for (uint32_t pid : polygon_ids) {
-    ACT_CHECK(pid < polygons_.size());
-    removed[pid] = true;
-  }
-  std::vector<geo::CellId> cells;
-  std::vector<RefList> refs;
-  cells.reserve(covering_.size());
-  refs.reserve(covering_.size());
-  for (size_t i = 0; i < covering_.size(); ++i) {
-    RefList kept;
-    for (const PolygonRef& r : covering_.refs(i)) {
-      if (!removed[r.polygon_id]) kept.push_back(r);
-    }
-    if (kept.empty()) continue;  // cell no longer references anything
-    cells.push_back(covering_.cell(i));
-    refs.push_back(std::move(kept));
-  }
-  covering_ = SuperCovering(std::move(cells), std::move(refs));
-  Reencode();  // also compacts the lookup table (paper: periodic reorg)
+  *this = WithDelta(polygon_ids, {});
 }
 
 void PolygonIndex::Reencode() {

@@ -16,6 +16,8 @@
 
 #include <memory>
 #include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "act/act.h"
@@ -71,12 +73,11 @@ class PolygonIndex {
 
   // --- Snapshot support (src/service/ serving layer) ------------------------
 
-  /// Cheap independent copy: reuses the already-computed super covering
-  /// (the expensive pipeline phase) and re-derives only classifier,
-  /// encoding, and trie. The clone shares nothing with the original, so an
-  /// updater can Clone a published snapshot, apply AddPolygons /
-  /// RemovePolygons / Train to the clone, and publish the result while
-  /// readers keep probing the original.
+  /// Independent copy: reuses the already-computed super covering (the
+  /// expensive pipeline phase) and re-derives classifier, encoding, and
+  /// trie — work proportional to the whole set. The clone shares nothing
+  /// with the original. Not the mutation path: WithDelta derives a
+  /// successor without encoding twice.
   PolygonIndex Clone() const {
     return FromComponents(polygons_, grid_, opts_, covering_);
   }
@@ -89,19 +90,37 @@ class PolygonIndex {
   // --- Updates (the paper's Sec. 3.1.2 outlook: "the same procedure could
   // be used to add new polygons at runtime") ---------------------------------
 
-  /// Adds polygons to the live index: their coverings are computed and
-  /// inserted into the mutable super covering one by one (with the usual
-  /// conflict resolution), the precision bound — if any — is re-applied,
-  /// and the immutable trie is rebuilt. Returns the first id assigned.
-  /// Cost: covering work is proportional to the new polygons; classifier
-  /// and trie rebuild are proportional to the whole set.
+  /// Derives the successor index of one delta without touching this one
+  /// (so readers can keep probing it): references to `removed_ids` leave
+  /// the covering (cells left referencing nothing are dropped; ids keep
+  /// their slots and are never reused), and `added` polygons get the next
+  /// ids in order and have their coverings inserted with the usual conflict
+  /// resolution. Only base cells whose range meets an added cell go
+  /// through the builder; every other cell is carried over as-is, which
+  /// yields the same covering as inserting into the whole set (an insert
+  /// only reads or changes cells meeting its range). The precision bound,
+  /// if any, is re-applied after an add, then the covering is encoded
+  /// once. Cost: one linear pass over the covering plus Encode and trie
+  /// build over the whole set; covering work is proportional to the added
+  /// polygons and the cells they meet.
+  ///
+  /// A non-null `touched_ranges` receives (unsorted, possibly overlapping)
+  /// leaf-id intervals [first, last] of every base cell that lost a removed
+  /// reference and every successor cell carrying an added reference —
+  /// exactly the cells whose probe results differ between the two indexes.
+  PolygonIndex WithDelta(
+      std::span<const uint32_t> removed_ids,
+      std::span<const geom::Polygon> added,
+      std::vector<std::pair<uint64_t, uint64_t>>* touched_ranges =
+          nullptr) const;
+
+  /// In-place WithDelta(no removals, new_polygons). Returns the first id
+  /// assigned.
   uint32_t AddPolygons(std::span<const geom::Polygon> new_polygons);
 
-  /// Removes polygons from the join result: their references disappear
-  /// from the covering (cells left referencing nothing are dropped) and
-  /// the trie is rebuilt. Ids stay stable; removed ids are never returned
-  /// again. The paper notes removal "would follow the same logic" plus
-  /// periodic lookup-table compaction — the re-encode here compacts.
+  /// In-place WithDelta(polygon_ids, no additions). The paper notes removal
+  /// "would follow the same logic" plus periodic lookup-table compaction —
+  /// the re-encode compacts.
   void RemovePolygons(std::span<const uint32_t> polygon_ids);
 
   JoinStats Join(const JoinInput& points, const JoinOptions& opts) const {
@@ -142,6 +161,11 @@ class PolygonIndex {
   std::unique_ptr<AdaptiveCellTrie> trie_;
   BuildTimings timings_;
 };
+
+/// Sorts leaf-id intervals [first, last] and merges overlapping or adjacent
+/// ones in place (WithDelta's touched ranges become the sorted, disjoint
+/// form cache invalidation binary-searches).
+void CoalesceRanges(std::vector<std::pair<uint64_t, uint64_t>>* ranges);
 
 /// Lower-level helper used by benchmarks that index the same super covering
 /// with several data structures: build just the (optionally refined) super

@@ -27,7 +27,6 @@ IntervalView IntervalView::FromIndex(const service::ShardedIndex& index,
   IntervalView v;
   v.index_ = &index;
   v.locs_.assign(index.num_polygons(), Loc{});
-  const uint64_t ns = static_cast<uint64_t>(index.num_shards());
   for (int s = 0; s < index.num_shards(); ++s) {
     const act::PolygonIndex* shard = index.shard_index(s);
     if (shard == nullptr) continue;
@@ -36,20 +35,13 @@ IntervalView IntervalView::FromIndex(const service::ShardedIndex& index,
       Loc& loc = v.locs_[gids[local]];
       if (loc.shard < 0) loc = {s, local};
     }
-    // Shard s owns the leaf-id interval [floor(s*2^64/N), floor((s+1)*
-    // 2^64/N)) — the inverse of ShardedIndex::ShardOf. A polygon near a
-    // shard boundary is indexed by every shard its covering touches, so
-    // its cells appear (clipped) in each; clipping to the owning interval
-    // keeps exactly one copy of every leaf id and restores the global
-    // disjointness the descent's merge-scan relies on.
-    const uint64_t shard_lo = static_cast<uint64_t>(
-        (static_cast<unsigned __int128>(s) << 64) / ns);
-    const uint64_t shard_hi =  // inclusive
-        s + 1 == static_cast<int>(ns)
-            ? UINT64_MAX
-            : static_cast<uint64_t>(
-                  (static_cast<unsigned __int128>(s + 1) << 64) / ns) -
-                  1;
+    // Shard s owns the leaf-id interval ShardRange(s) — the inverse of
+    // ShardedIndex::ShardOf. A polygon near a shard boundary is indexed by
+    // every shard its covering touches, so its cells appear (clipped) in
+    // each; clipping to the owning interval keeps exactly one copy of
+    // every leaf id and restores the global disjointness the descent's
+    // merge-scan relies on.
+    const auto [shard_lo, shard_hi] = index.ShardRange(s);
     const act::SuperCovering& sc = shard->covering();
     for (size_t i = 0; i < sc.size(); ++i) {
       const geo::CellId& cell = sc.cell(i);

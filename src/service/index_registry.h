@@ -4,8 +4,8 @@
 // all adaptation at build time), which makes concurrent serving a snapshot
 // problem, not a locking problem. Readers Acquire() a refcounted snapshot
 // (std::shared_ptr pins it); an updater builds a replacement off to the
-// side — PolygonIndex::Clone() + AddPolygons/RemovePolygons/Train, or a
-// fresh ShardedIndex::Build — and Publish()es it with a single pointer
+// side — PolygonIndex::WithDelta (via ShardedIndex::ApplyDelta), a
+// Clone() + Train, or a fresh ShardedIndex::Build — and Publish()es it with a single pointer
 // swap inside a short critical section. In-flight queries keep probing the
 // snapshot they pinned; the old index is freed when its last reference
 // drops. This is the shared-snapshot discipline of MVCC databases scaled

@@ -1,5 +1,6 @@
 #include "service/join_service.h"
 
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -7,6 +8,7 @@
 #include "service/subscription_matcher.h"
 #include "util/check.h"
 #include "util/parallel_for.h"
+#include "util/timer.h"
 
 namespace actjoin::service {
 
@@ -175,6 +177,9 @@ void JoinService::RegisterMetrics() {
         }
         return out;
       });
+  mutation_apply_us_ = r->GetHistogram(
+      "mutation_apply_us",
+      "ApplyDelta wall time per applied ADD/REMOVE mutation");
   if (cell_cache_ != nullptr) cell_cache_->RegisterMetrics(r);
   if (opts_.stage_perf_counters) {
     for (int i = 0; i < kNumTraceStages; ++i) {
@@ -364,6 +369,7 @@ MutationResult JoinService::Mutate(uint16_t dataset_id,
   Snapshot base = registry->Acquire(&old_epoch);
   Snapshot next;
   ShardedIndex::DeltaResult delta_result;
+  double apply_us = 0;  // ApplyDelta wall time (ADD/REMOVE only)
   switch (kind) {
     case MutationRecord::Kind::kAdd: {
       // Polygon ids are 30-bit (act::kMaxPolygonId); a batch that would
@@ -383,7 +389,9 @@ MutationResult JoinService::Mutate(uint16_t dataset_id,
       }
       ShardedIndex::Delta delta;
       delta.add = add;
+      util::WallTimer apply_timer;
       delta_result = ShardedIndex::ApplyDelta(*base, delta);
+      apply_us = apply_timer.ElapsedSeconds() * 1e6;
       next = delta_result.index;
       out.first_id = delta_result.first_added_id;
       break;
@@ -403,7 +411,9 @@ MutationResult JoinService::Mutate(uint16_t dataset_id,
       }
       ShardedIndex::Delta delta;
       delta.remove = remove;
+      util::WallTimer apply_timer;
       delta_result = ShardedIndex::ApplyDelta(*base, delta);
+      apply_us = apply_timer.ElapsedSeconds() * 1e6;
       next = delta_result.index;
       break;
     }
@@ -442,16 +452,22 @@ MutationResult JoinService::Mutate(uint16_t dataset_id,
     journal->Append(std::move(rec));
   }
   stats_.RecordMutationApplied();
+  if (kind != MutationRecord::Kind::kDrop && mutation_apply_us_ != nullptr) {
+    mutation_apply_us_->Record(apply_us);
+  }
+  const std::string applied_in =
+      " polygons, applied in " + std::to_string(std::llround(apply_us)) +
+      " us";
   switch (kind) {
     case MutationRecord::Kind::kAdd:
       AppendEvent("delta_apply", catalog_.NameOf(dataset_id),
                   "epoch " + std::to_string(out.epoch) + ", +" +
-                      std::to_string(added_count) + " polygons");
+                      std::to_string(added_count) + applied_in);
       break;
     case MutationRecord::Kind::kRemove:
       AppendEvent("delta_apply", catalog_.NameOf(dataset_id),
                   "epoch " + std::to_string(out.epoch) + ", -" +
-                      std::to_string(removed_count) + " polygons");
+                      std::to_string(removed_count) + applied_in);
       break;
     case MutationRecord::Kind::kDrop:
       AppendEvent("drop", catalog_.NameOf(dataset_id),

@@ -433,6 +433,8 @@ class JoinService {
   std::array<util::Histogram*, kNumTraceStages> stage_cycles_hist_{};
   std::array<util::Histogram*, kNumTraceStages> stage_instructions_hist_{};
   std::array<util::Histogram*, kNumTraceStages> stage_llc_hist_{};
+  /// ApplyDelta wall time per applied ADD/REMOVE (null when metrics off).
+  util::Histogram* mutation_apply_us_ = nullptr;
   /// Index == dataset id, same reservation discipline as ServiceCatalog.
   std::vector<std::unique_ptr<DatasetCounters>> dataset_counters_;
   std::atomic<SubscriptionMatcher*> subscriptions_{nullptr};

@@ -12,13 +12,26 @@
 
 namespace actjoin::service {
 
-// Shard s owns the leaf-id interval [floor(s * 2^64 / N),
-// floor((s+1) * 2^64 / N)): equal Hilbert-range slices of the whole id
-// space. The 128-bit multiply-shift is the exact inverse map.
+// Shard s owns the leaf ids x with s * 2^64 <= x * N < (s+1) * 2^64: equal
+// Hilbert-range slices of the whole id space. The 128-bit multiply-shift
+// is the exact map.
 int ShardedIndex::ShardOf(uint64_t leaf_cell_id) const {
   return static_cast<int>(
       (static_cast<unsigned __int128>(leaf_cell_id) *
        static_cast<unsigned>(shards_.size())) >> 64);
+}
+
+// The first id of shard s is ceil(s * 2^64 / N); its last is one before
+// the next shard's first (or the top of the id space).
+std::pair<uint64_t, uint64_t> ShardedIndex::ShardRange(int s) const {
+  const auto ns = static_cast<unsigned __int128>(shards_.size());
+  auto first_of = [&](unsigned __int128 k) {
+    return static_cast<uint64_t>(((k << 64) + ns - 1) / ns);
+  };
+  const uint64_t last = static_cast<size_t>(s) + 1 == shards_.size()
+                            ? UINT64_MAX
+                            : first_of(s + 1) - 1;
+  return {first_of(s), last};
 }
 
 ShardedIndex ShardedIndex::Build(const std::vector<geom::Polygon>& polygons,
@@ -82,29 +95,6 @@ ShardedIndex ShardedIndex::Build(const std::vector<geom::Polygon>& polygons,
   out.build_seconds_ = timer.ElapsedSeconds();
   return out;
 }
-
-namespace {
-
-// Collapses an unsorted interval list into sorted, coalesced form so the
-// cache invalidation walk can binary-search it.
-void NormalizeRanges(std::vector<std::pair<uint64_t, uint64_t>>* ranges) {
-  if (ranges->empty()) return;
-  std::sort(ranges->begin(), ranges->end());
-  size_t w = 0;
-  for (size_t i = 1; i < ranges->size(); ++i) {
-    auto& cur = (*ranges)[w];
-    const auto& next = (*ranges)[i];
-    // Adjacent leaf intervals coalesce too (max avoids overflow bait).
-    if (next.first <= cur.second || next.first == cur.second + 1) {
-      cur.second = std::max(cur.second, next.second);
-    } else {
-      (*ranges)[++w] = next;
-    }
-  }
-  ranges->resize(w + 1);
-}
-
-}  // namespace
 
 ShardedIndex::DeltaResult ShardedIndex::ApplyDelta(const ShardedIndex& base,
                                                    const Delta& delta) {
@@ -175,9 +165,13 @@ ShardedIndex::DeltaResult ShardedIndex::ApplyDelta(const ShardedIndex& base,
       continue;
     }
 
-    // Clone-on-write: reuse the shard's already-computed covering, drop
-    // the removed references, extend with the added polygons' coverings.
-    const size_t old_local_count = from.global_ids.size();
+    // Copy-on-write: the successor reuses the shard's covering, drops the
+    // removed references, and rebuilds only the cells the added polygons'
+    // coverings meet. Its invalidation set — every base cell that lost a
+    // removed reference and every successor cell carrying an added one —
+    // falls out of the same pass; cells a conflict split merely subdivided
+    // keep their reference lists, so cached probe replays for them stay
+    // byte-identical.
     to.global_ids = from.global_ids;
     std::vector<geom::Polygon> subset;
     subset.reserve(added_in[s].size());
@@ -186,49 +180,22 @@ ShardedIndex::DeltaResult ShardedIndex::ApplyDelta(const ShardedIndex& base,
       to.global_ids.push_back(result.first_added_id + i);
     }
     if (from.index == nullptr) {
+      // A shard's first polygons: every cell of its new covering is new.
       to.index = std::make_shared<const act::PolygonIndex>(
           act::PolygonIndex::Build(subset, base.grid_, base.opts_.build));
+      for (const geo::CellId& cell : to.index->covering().cells()) {
+        result.touched_ranges.emplace_back(cell.range_min().id(),
+                                           cell.range_max().id());
+      }
     } else {
-      act::PolygonIndex next = from.index->Clone();
-      if (!removed_local.empty()) next.RemovePolygons(removed_local);
-      if (!subset.empty()) next.AddPolygons(subset);
-      to.index = std::make_shared<const act::PolygonIndex>(std::move(next));
-    }
-
-    // Invalidation set: every base covering cell that referenced a removed
-    // polygon (its reference list shrank, or the cell vanished entirely)
-    // and every new covering cell referencing an added polygon. Cells a
-    // conflict split merely subdivided keep their reference lists, so
-    // cached probe replays for them stay byte-identical.
-    if (!removed_local.empty() && from.index != nullptr) {
-      std::vector<bool> removed_here(old_local_count, false);
-      for (uint32_t local : removed_local) removed_here[local] = true;
-      const act::SuperCovering& cov = from.index->covering();
-      for (size_t i = 0; i < cov.size(); ++i) {
-        for (const act::PolygonRef& r : cov.refs(i)) {
-          if (removed_here[r.polygon_id]) {
-            result.touched_ranges.emplace_back(
-                cov.cell(i).range_min().id(), cov.cell(i).range_max().id());
-            break;
-          }
-        }
-      }
-    }
-    if (!added_in[s].empty()) {
-      const act::SuperCovering& cov = to.index->covering();
-      for (size_t i = 0; i < cov.size(); ++i) {
-        for (const act::PolygonRef& r : cov.refs(i)) {
-          if (r.polygon_id >= old_local_count) {
-            result.touched_ranges.emplace_back(
-                cov.cell(i).range_min().id(), cov.cell(i).range_max().id());
-            break;
-          }
-        }
-      }
+      to.index = std::make_shared<const act::PolygonIndex>(
+          from.index->WithDelta(removed_local, subset,
+                                &result.touched_ranges));
     }
   }
 
-  NormalizeRanges(&result.touched_ranges);
+  // Sorted, coalesced form: the cache invalidation walk binary-searches it.
+  act::CoalesceRanges(&result.touched_ranges);
   out->build_seconds_ = timer.ElapsedSeconds();
   result.index = std::move(out);
   return result;

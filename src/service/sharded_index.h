@@ -25,13 +25,17 @@
 //
 // A ShardedIndex is immutable after Build, making it a snapshot type for
 // SnapshotRegistry / JoinService hot swaps. Live mutation therefore never
-// edits a published index: ApplyDelta clones only the shards a delta
-// touches (clone-on-write at shard granularity — the covering, the
-// expensive build phase, is reused and only extended for the new
-// polygons), shares every untouched shard's trie with the base snapshot,
-// and returns a new index to publish through the registry swap, plus the
-// leaf-id ranges whose probe results changed so the hot-cell cache can
-// invalidate exactly the touched (dataset, cell) entries.
+// edits a published index: ApplyDelta derives a successor only for the
+// shards a delta touches (act::PolygonIndex::WithDelta: the covering, the
+// expensive build phase, is reused and rebuilt only where the new
+// polygons' cells land; the shard is then encoded once, so Encode + trie
+// build over the whole shard stay the per-mutation floor), shares every
+// untouched shard's trie with the base snapshot, and returns a new index
+// to publish through the registry swap, plus the leaf-id ranges whose
+// probe results changed so the hot-cell cache can invalidate exactly the
+// touched (dataset, cell) entries. Shards are equal slices of the whole
+// 2^64 id space, so a city-sized dataset usually lands in one shard and a
+// mutation re-encodes all of it.
 
 #ifndef ACTJOIN_SERVICE_SHARDED_INDEX_H_
 #define ACTJOIN_SERVICE_SHARDED_INDEX_H_
@@ -123,11 +127,11 @@ class ShardedIndex {
     uint32_t first_added_id = 0;
   };
 
-  /// Applies a delta copy-on-write: shards whose polygon set changes are
-  /// cloned (reusing their already-computed coverings; only the added
-  /// polygons' coverings are computed, which is what makes delta-apply ≪ a
-  /// full rebuild) and re-encoded; untouched shards are shared with
-  /// `base`. The result is a fully independent snapshot to publish through
+  /// Applies a delta copy-on-write: each shard whose polygon set changes
+  /// gets a successor from act::PolygonIndex::WithDelta (its covering is
+  /// reused; only the added polygons' coverings and the cells they meet
+  /// are recomputed, which is what makes delta-apply ≪ a full rebuild) and
+  /// is encoded once; untouched shards are shared with `base`. The result is a fully independent snapshot to publish through
   /// SnapshotRegistry; `base` is never modified and in-flight joins
   /// against it are unaffected. Incremental insertion and fresh build
   /// produce the same covering, so joins against the result are
@@ -214,6 +218,10 @@ class ShardedIndex {
 
   /// Shard responsible for a leaf cell id.
   int ShardOf(uint64_t leaf_cell_id) const;
+
+  /// Inclusive leaf-id bounds [first, last] of shard `s`: the inverse of
+  /// ShardOf (every id in the range maps to `s`, no other id does).
+  std::pair<uint64_t, uint64_t> ShardRange(int s) const;
 
   /// Per-shard index; null for a shard with no polygons (its points cannot
   /// match anything and short-circuit in the router).

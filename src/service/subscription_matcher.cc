@@ -31,19 +31,11 @@ bool CoverageContains(
 /// keeps exactly one copy of every leaf id).
 template <typename Fn>
 void ForEachClippedCell(const ShardedIndex& index, Fn&& fn) {
-  const uint64_t ns = static_cast<uint64_t>(index.num_shards());
   for (int s = 0; s < index.num_shards(); ++s) {
     const act::PolygonIndex* shard = index.shard_index(s);
     if (shard == nullptr) continue;
     const std::vector<uint32_t>& gids = index.shard_polygon_ids(s);
-    const uint64_t shard_lo = static_cast<uint64_t>(
-        (static_cast<unsigned __int128>(s) << 64) / ns);
-    const uint64_t shard_hi =  // inclusive
-        s + 1 == static_cast<int>(ns)
-            ? UINT64_MAX
-            : static_cast<uint64_t>(
-                  (static_cast<unsigned __int128>(s + 1) << 64) / ns) -
-                  1;
+    const auto [shard_lo, shard_hi] = index.ShardRange(s);
     const act::SuperCovering& sc = shard->covering();
     for (size_t i = 0; i < sc.size(); ++i) {
       const geo::CellId& cell = sc.cell(i);

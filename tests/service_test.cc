@@ -31,6 +31,7 @@
 #include "service/join_service.h"
 #include "service/sharded_index.h"
 #include "util/latency_histogram.h"
+#include "util/metrics.h"
 #include "util/mpmc_queue.h"
 #include "util/work_stealing_pool.h"
 #include "workloads/datasets.h"
@@ -49,6 +50,28 @@ std::shared_ptr<const ShardedIndex> BuildShared(
 }
 
 // --- ShardedIndex ----------------------------------------------------------
+
+TEST(ServiceSharding, ShardRangeInvertsShardOf) {
+  for (int n : {1, 3, 7, 8}) {
+    ShardingOptions opts;
+    opts.num_shards = n;
+    ShardedIndex index = ShardedIndex::Build({}, Grid(), opts);
+    uint64_t next_first = 0;
+    for (int s = 0; s < n; ++s) {
+      const auto [first, last] = index.ShardRange(s);
+      EXPECT_EQ(first, next_first) << "shard " << s << " of " << n;
+      EXPECT_LE(first, last);
+      EXPECT_EQ(index.ShardOf(first), s);
+      EXPECT_EQ(index.ShardOf(last), s);
+      if (first > 0) {
+        EXPECT_EQ(index.ShardOf(first - 1), s - 1);
+      }
+      next_first = last + 1;  // wraps to 0 after the last shard
+    }
+    EXPECT_EQ(next_first, 0u);
+  }
+}
+
 
 TEST(ServiceSharding, ExactJoinByteIdenticalToUnsharded) {
   Grid grid;
@@ -1050,6 +1073,92 @@ TEST(DeltaService, RemoveKeepsIdSlotsAndFiltersPairs) {
   for (uint32_t gid : removed) EXPECT_EQ(stats.counts[gid], 0u);
 }
 
+TEST(DeltaService, TouchedRangesMatchFullCoveringWalks) {
+  // ApplyDelta's invalidation set comes out of the shard's one-pass
+  // WithDelta. It must equal what walking both whole coverings yields:
+  // every base cell that referenced a removed polygon plus every successor
+  // cell referencing an added one (all cells of a shard built fresh).
+  Grid grid;
+  wl::PolygonDataset ds = wl::Neighborhoods(0.08);
+  const size_t n_base = ds.polygons.size() * 3 / 4;
+  std::vector<geom::Polygon> base_set(
+      ds.polygons.begin(), ds.polygons.begin() + static_cast<ptrdiff_t>(n_base));
+  act::BuildOptions bopts;
+  bopts.threads = 1;
+  auto base = BuildShared(base_set, grid, {.num_shards = 8, .build = bopts});
+
+  ShardedIndex::Delta delta;
+  delta.remove = {2, 11, 12};
+  delta.add = {ds.polygons[n_base], ds.polygons[n_base + 1], ds.polygons[5]};
+  // Far from the city: routes to a shard the base left empty.
+  delta.add.push_back(geom::Polygon(
+      {{2.30, 48.80}, {2.40, 48.80}, {2.40, 48.90}, {2.30, 48.90}}));
+  ShardedIndex::DeltaResult res = ShardedIndex::ApplyDelta(*base, delta);
+
+  std::vector<std::pair<uint64_t, uint64_t>> want;
+  auto touch = [&](const geo::CellId& c) {
+    want.emplace_back(c.range_min().id(), c.range_max().id());
+  };
+  int rebuilt_shards = 0, fresh_shards = 0;
+  for (int s = 0; s < base->num_shards(); ++s) {
+    const act::PolygonIndex* from = base->shard_index(s);
+    const act::PolygonIndex* to = res.index->shard_index(s);
+    if (from == to) continue;  // untouched shards are aliased
+    const std::vector<uint32_t>& gids = base->shard_polygon_ids(s);
+    if (from == nullptr) {
+      ++fresh_shards;
+    } else {
+      ++rebuilt_shards;
+      const act::SuperCovering& cov = from->covering();
+      for (size_t i = 0; i < cov.size(); ++i) {
+        for (const act::PolygonRef& r : cov.refs(i)) {
+          if (std::find(delta.remove.begin(), delta.remove.end(),
+                        gids[r.polygon_id]) != delta.remove.end()) {
+            touch(cov.cell(i));
+            break;
+          }
+        }
+      }
+    }
+    const act::SuperCovering& cov = to->covering();
+    for (size_t i = 0; i < cov.size(); ++i) {
+      for (const act::PolygonRef& r : cov.refs(i)) {
+        if (r.polygon_id >= gids.size()) {
+          touch(cov.cell(i));
+          break;
+        }
+      }
+    }
+  }
+  EXPECT_GE(rebuilt_shards, 1);
+  EXPECT_EQ(fresh_shards, 1);
+
+  std::sort(want.begin(), want.end());
+  std::vector<std::pair<uint64_t, uint64_t>> coalesced;
+  for (const auto& iv : want) {
+    if (!coalesced.empty() && (iv.first <= coalesced.back().second ||
+                               iv.first == coalesced.back().second + 1)) {
+      coalesced.back().second = std::max(coalesced.back().second, iv.second);
+    } else {
+      coalesced.push_back(iv);
+    }
+  }
+  EXPECT_EQ(res.touched_ranges, coalesced);
+
+  // And the successor still answers like a fresh build over the final set.
+  std::vector<geom::Polygon> final_set = base_set;
+  final_set.insert(final_set.end(), delta.add.begin(), delta.add.end());
+  std::vector<bool> active(final_set.size(), true);
+  for (uint32_t gid : delta.remove) active[gid] = false;
+  wl::PointSet pts = wl::TaxiPoints(ds.mbr, 3000, grid, 73);
+  decltype(res.index->JoinPairs(pts.AsJoinInput(), JoinMode::kExact)) oracle;
+  for (const auto& pair :
+       act::BruteForceJoinPairs(pts.AsJoinInput(), final_set)) {
+    if (active[pair.second]) oracle.push_back(pair);
+  }
+  EXPECT_EQ(res.index->JoinPairs(pts.AsJoinInput(), JoinMode::kExact), oracle);
+}
+
 TEST(DeltaService, LiveMutationsTypedVerdictsAndDropLifecycle) {
   Grid grid;
   wl::PolygonDataset ds = wl::Neighborhoods(0.06);
@@ -1123,6 +1232,22 @@ TEST(DeltaService, LiveMutationsTypedVerdictsAndDropLifecycle) {
   ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.mutations_applied, 3u);  // add, remove, drop
   EXPECT_EQ(stats.rejected_mutations, 6u);
+  // Only the two applied deltas feed mutation_apply_us (not the
+  // rejections, not the drop), and their events carry the apply time.
+  ASSERT_NE(service.metrics(), nullptr);
+  EXPECT_EQ(service.metrics()
+                ->GetHistogram("mutation_apply_us")
+                ->Snapshot()
+                .count(),
+            2u);
+  int delta_events = 0;
+  for (const util::MetricEvent& e : service.metrics()->events().Snapshot()) {
+    if (e.kind != "delta_apply") continue;
+    ++delta_events;
+    EXPECT_NE(e.detail.find(" polygons, applied in "), std::string::npos)
+        << e.detail;
+  }
+  EXPECT_EQ(delta_events, 2);
 
   // A full publish resurrects the slot: tombstone cleared, joins serve.
   uint64_t epoch = service.SwapIndex(fresh);

@@ -13,9 +13,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
+#include "act/classifier.h"
 #include "act/pipeline.h"
+#include "act/trainer.h"
+#include "cover/coverer.h"
 #include "geo/grid.h"
 #include "geometry/pip.h"
 #include "util/random.h"
@@ -230,6 +234,302 @@ TEST(Updates, AddOverlappingPolygonSharesCells) {
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0].second, 0u);
   EXPECT_EQ(got[1].second, 1u);
+}
+
+// --- WithDelta against the global mutation sequence ------------------------
+
+using Ranges = std::vector<std::pair<uint64_t, uint64_t>>;
+
+// Sorted, coalesced (overlapping or adjacent) form, so two invalidation
+// sets compare by the leaves they cover rather than by how they were cut.
+Ranges Normalized(Ranges r) {
+  std::sort(r.begin(), r.end());
+  Ranges out;
+  for (const auto& iv : r) {
+    if (!out.empty() && (iv.first <= out.back().second ||
+                         iv.first == out.back().second + 1)) {
+      out.back().second = std::max(out.back().second, iv.second);
+    } else {
+      out.push_back(iv);
+    }
+  }
+  return out;
+}
+
+void TouchRange(const geo::CellId& cell, Ranges* out) {
+  out->emplace_back(cell.range_min().id(), cell.range_max().id());
+}
+
+// The reference delta: filter the whole covering, reload it into a global
+// builder, insert every added covering (all boundaries, then all
+// interiors), refine, and derive the touched ranges with two full walks —
+// the base cells that referenced a removed polygon and the result cells
+// that reference an added one.
+SuperCovering OracleDelta(const PolygonIndex& base,
+                          const std::vector<uint32_t>& removed_ids,
+                          const std::vector<geom::Polygon>& added,
+                          Ranges* touched) {
+  const BuildOptions& opts = base.options();
+  const uint32_t first_id = static_cast<uint32_t>(base.polygons().size());
+  std::vector<bool> removed(first_id, false);
+  for (uint32_t pid : removed_ids) removed[pid] = true;
+  std::vector<geo::CellId> cells;
+  std::vector<RefList> refs;
+  const SuperCovering& cov = base.covering();
+  for (size_t i = 0; i < cov.size(); ++i) {
+    RefList kept;
+    for (const PolygonRef& r : cov.refs(i)) {
+      if (!removed[r.polygon_id]) kept.push_back(r);
+    }
+    if (kept.size() != cov.refs(i).size()) TouchRange(cov.cell(i), touched);
+    if (kept.empty()) continue;
+    cells.push_back(cov.cell(i));
+    refs.push_back(std::move(kept));
+  }
+  SuperCovering filtered(std::move(cells), std::move(refs));
+  if (added.empty()) return filtered;
+
+  std::vector<geom::Polygon> all = base.polygons();
+  all.insert(all.end(), added.begin(), added.end());
+  PolygonClassifier classifier(all, base.grid());
+  cover::CovererOptions cover_opts{opts.approx.max_covering_cells,
+                                   opts.approx.max_covering_level, 0};
+  cover::CovererOptions interior_opts{opts.approx.max_interior_cells,
+                                      opts.approx.max_interior_level, 0};
+  SuperCoveringBuilder builder = ToBuilder(filtered);
+  for (bool interior : {false, true}) {
+    for (uint32_t pid = first_id; pid < all.size(); ++pid) {
+      cover::Coverer coverer(classifier.edge_grid(pid), base.grid());
+      builder.AddCovering(interior ? coverer.InteriorCovering(interior_opts)
+                                   : coverer.Covering(cover_opts),
+                          pid, interior);
+    }
+  }
+  SuperCovering out = builder.Build();
+  if (opts.precision_bound_m.has_value()) {
+    out = RefineToPrecision(out, *opts.precision_bound_m, base.grid(),
+                            classifier);
+  }
+  for (size_t i = 0; i < out.size(); ++i) {
+    const RefList& r = out.refs(i);
+    if (std::any_of(r.begin(), r.end(), [&](const PolygonRef& ref) {
+          return ref.polygon_id >= first_id;
+        })) {
+      TouchRange(out.cell(i), touched);
+    }
+  }
+  return out;
+}
+
+// Applies one delta through WithDelta and checks it against the oracle:
+// cell by cell, reference list by reference list, index memory, touched
+// ranges, and the exact join over the active polygons. Returns the
+// successor so deltas can chain; `active` tracks the live ids.
+PolygonIndex CheckDelta(const PolygonIndex& base,
+                        const std::vector<uint32_t>& removed_ids,
+                        const std::vector<geom::Polygon>& added,
+                        const wl::PointSet& pts, std::vector<bool>* active) {
+  Ranges touched;
+  PolygonIndex next = base.WithDelta(removed_ids, added, &touched);
+  Ranges want_touched;
+  SuperCovering want = OracleDelta(base, removed_ids, added, &want_touched);
+
+  EXPECT_TRUE(next.covering().IsDisjoint());
+  EXPECT_EQ(next.covering().cells(), want.cells());
+  for (size_t i = 0; i < std::min(want.size(), next.covering().size());
+       ++i) {
+    if (!(next.covering().refs(i) == want.refs(i))) {
+      ADD_FAILURE() << "reference lists differ at cell " << i;
+      break;
+    }
+  }
+  PolygonIndex want_index = PolygonIndex::FromComponents(
+      next.polygons(), base.grid(), base.options(), std::move(want));
+  EXPECT_EQ(next.MemoryBytes(), want_index.MemoryBytes());
+  EXPECT_EQ(Normalized(touched), Normalized(want_touched));
+
+  for (uint32_t pid : removed_ids) (*active)[pid] = false;
+  active->resize(next.polygons().size(), true);
+  EXPECT_EQ(next.JoinPairs(pts.AsJoinInput(), JoinMode::kExact),
+            OracleActive(pts.AsJoinInput(), next.polygons(), *active));
+  return next;
+}
+
+geom::Polygon Square(double x, double y, double half) {
+  return geom::Polygon({{x - half, y - half},
+                        {x + half, y - half},
+                        {x + half, y + half},
+                        {x - half, y + half}});
+}
+
+struct DeltaFixture {
+  wl::PolygonDataset ds = wl::Neighborhoods(0.08);
+  std::vector<geom::Polygon> base, spare;  // spare: never in the base
+  wl::PointSet pts;
+  std::vector<bool> active;
+
+  explicit DeltaFixture(uint64_t point_seed) {
+    const size_t n_base = ds.polygons.size() * 3 / 4;
+    base.assign(ds.polygons.begin(),
+                ds.polygons.begin() + static_cast<ptrdiff_t>(n_base));
+    spare.assign(ds.polygons.begin() + static_cast<ptrdiff_t>(n_base),
+                 ds.polygons.end());
+    pts = wl::TaxiPoints(ds.mbr, 2000, Grid(), point_seed);
+    active.assign(base.size(), true);
+  }
+};
+
+TEST(Updates, WithDeltaRemoveOnlyMatchesOracle) {
+  DeltaFixture fx(41);
+  BuildOptions opts;
+  opts.threads = 1;
+  PolygonIndex index = PolygonIndex::Build(fx.base, Grid(), opts);
+  CheckDelta(index, {0, 5, 6, 17}, {}, fx.pts, &fx.active);
+}
+
+TEST(Updates, WithDeltaAddOnlyMatchesOracle) {
+  DeltaFixture fx(42);
+  BuildOptions opts;
+  opts.threads = 1;
+  PolygonIndex index = PolygonIndex::Build(fx.base, Grid(), opts);
+  std::vector<geom::Polygon> add(fx.spare.begin(), fx.spare.begin() + 4);
+  PolygonIndex next = CheckDelta(index, {}, add, fx.pts, &fx.active);
+  EXPECT_EQ(next.polygons().size(), fx.base.size() + 4);
+  // The base is untouched: WithDelta derives, it does not mutate.
+  EXPECT_EQ(index.polygons().size(), fx.base.size());
+}
+
+TEST(Updates, WithDeltaRemoveAndAddMatchesOracle) {
+  DeltaFixture fx(43);
+  BuildOptions opts;
+  opts.threads = 2;
+  PolygonIndex index = PolygonIndex::Build(fx.base, Grid(), opts);
+  // Re-adding a removed polygon under a new id overlaps its old area
+  // exactly; the spare ones tile next to the base.
+  std::vector<geom::Polygon> add{fx.base[3], fx.spare[0], fx.spare[1]};
+  CheckDelta(index, {3, 9}, add, fx.pts, &fx.active);
+}
+
+TEST(Updates, WithDeltaAddedCellInsideExistingCell) {
+  // A large square's interior covering holds coarse cells; a small square
+  // deep inside it lands in cells strictly contained by one of them
+  // (Listing 1 case c1 contains c2).
+  Grid grid;
+  BuildOptions opts;
+  opts.threads = 1;
+  PolygonIndex index =
+      PolygonIndex::Build({Square(-73.95, 40.75, 0.08)}, grid, opts);
+  std::vector<bool> active(1, true);
+  wl::PointSet pts = wl::SyntheticUniformPoints(
+      geom::Rect::Of(-74.05, 40.65, -73.85, 40.85), 1500, grid, 44);
+  PolygonIndex next = CheckDelta(index, {}, {Square(-73.951, 40.751, 0.002)},
+                                 pts, &active);
+  EXPECT_GT(next.covering().size(), index.covering().size());
+}
+
+TEST(Updates, WithDeltaAddedCellContainsSeveralExistingCells) {
+  // Many small squares, then one large square over all of them: its coarse
+  // cells each contain several existing cells and split around them.
+  Grid grid;
+  std::vector<geom::Polygon> smalls;
+  for (int i = 0; i < 4; ++i) {
+    for (int j = 0; j < 4; ++j) {
+      smalls.push_back(
+          Square(-73.99 + 0.02 * i, 40.71 + 0.02 * j, 0.003));
+    }
+  }
+  BuildOptions opts;
+  opts.threads = 1;
+  PolygonIndex index = PolygonIndex::Build(smalls, grid, opts);
+  std::vector<bool> active(smalls.size(), true);
+  wl::PointSet pts = wl::SyntheticUniformPoints(
+      geom::Rect::Of(-74.02, 40.68, -73.88, 40.82), 2000, grid, 45);
+  CheckDelta(index, {2}, {Square(-73.96, 40.74, 0.05)}, pts, &active);
+}
+
+TEST(Updates, WithDeltaAddOutsideCurrentExtent) {
+  // No base cell meets the added polygon's cells: the local builder sees
+  // only the new coverings and the base cells carry over untouched.
+  DeltaFixture fx(46);
+  BuildOptions opts;
+  opts.threads = 1;
+  PolygonIndex index = PolygonIndex::Build(fx.base, Grid(), opts);
+  geom::Polygon far = Square(2.35, 48.85, 0.05);  // another continent
+  PolygonIndex next = CheckDelta(index, {}, {far}, fx.pts, &fx.active);
+  std::vector<uint64_t> ids{Grid().CellAt({48.85, 2.35}).id()};
+  std::vector<geom::Point> pv{{2.35, 48.85}};
+  auto got = next.JoinPairs({ids, pv}, JoinMode::kExact);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].second, fx.base.size());
+}
+
+TEST(Updates, WithDeltaRemoveAllThenAddBack) {
+  DeltaFixture fx(47);
+  BuildOptions opts;
+  opts.threads = 1;
+  PolygonIndex index = PolygonIndex::Build(fx.base, Grid(), opts);
+  std::vector<uint32_t> all(fx.base.size());
+  for (uint32_t i = 0; i < all.size(); ++i) all[i] = i;
+  PolygonIndex empty = CheckDelta(index, all, {}, fx.pts, &fx.active);
+  EXPECT_EQ(empty.covering().size(), 0u);
+  CheckDelta(empty, {}, fx.base, fx.pts, &fx.active);
+}
+
+TEST(Updates, WithDeltaPrecisionBoundMatchesOracle) {
+  DeltaFixture fx(48);
+  BuildOptions opts;
+  opts.threads = 1;
+  opts.precision_bound_m = 120.0;
+  PolygonIndex index = PolygonIndex::Build(fx.base, Grid(), opts);
+  std::vector<geom::Polygon> add{fx.spare[2], fx.spare[3]};
+  PolygonIndex next = CheckDelta(index, {1, 4}, add, fx.pts, &fx.active);
+  for (size_t i = 0; i < next.covering().size(); ++i) {
+    if (HasCandidate(next.covering().refs(i))) {
+      ASSERT_LE(Grid().CellDiagonalMeters(next.covering().cell(i)), 120.0);
+    }
+  }
+}
+
+TEST(Updates, WithDeltaRandomizedChainMatchesOracle) {
+  // Twelve random deltas chained on one index: each removes a few live ids
+  // and/or adds a few polygons (spares, re-adds of removed ones, random
+  // stars), and each step must equal the global sequence exactly.
+  DeltaFixture fx(49);
+  BuildOptions opts;
+  opts.threads = 1;
+  PolygonIndex index = PolygonIndex::Build(fx.base, Grid(), opts);
+  util::Rng rng(4913);
+  for (int step = 0; step < 12; ++step) {
+    std::vector<uint32_t> remove;
+    std::vector<geom::Polygon> add;
+    const uint64_t kind = rng.UniformInt(3);  // 0 remove, 1 add, 2 both
+    if (kind != 1) {
+      for (uint64_t k = 1 + rng.UniformInt(3); k > 0; --k) {
+        uint32_t pid =
+            static_cast<uint32_t>(rng.UniformInt(index.polygons().size()));
+        if (fx.active[pid]) remove.push_back(pid);
+      }
+    }
+    if (kind != 0) {
+      for (uint64_t k = 1 + rng.UniformInt(4); k > 0; --k) {
+        switch (rng.UniformInt(3)) {
+          case 0:
+            add.push_back(fx.spare[rng.UniformInt(fx.spare.size())]);
+            break;
+          case 1:
+            add.push_back(index.polygons()[rng.UniformInt(fx.base.size())]);
+            break;
+          default:
+            add.push_back(wl::RandomStarPolygon(
+                {rng.Uniform(fx.ds.mbr.lo.x, fx.ds.mbr.hi.x),
+                 rng.Uniform(fx.ds.mbr.lo.y, fx.ds.mbr.hi.y)},
+                rng.Uniform(0.001, 0.02), 7, rng.Next()));
+        }
+      }
+    }
+    SCOPED_TRACE("step " + std::to_string(step));
+    index = CheckDelta(index, remove, add, fx.pts, &fx.active);
+  }
 }
 
 }  // namespace
