@@ -1,6 +1,8 @@
 #include "act/lookup_table.h"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 
 #include "util/check.h"
 
@@ -8,7 +10,7 @@ namespace actjoin::act {
 
 namespace {
 
-uint64_t HashEncoding(const std::vector<uint32_t>& enc) {
+uint64_t HashEncoding(std::span<const uint32_t> enc) {
   uint64_t h = 0xcbf29ce484222325ULL;
   for (uint32_t v : enc) {
     h ^= v;
@@ -17,54 +19,75 @@ uint64_t HashEncoding(const std::vector<uint32_t>& enc) {
   return h;
 }
 
+// Home slot of `hash` in a table of `size` (a power of two) slots. FNV-1a
+// mixes every input bit into the high bits only, so those pick the slot.
+size_t HomeSlot(uint64_t hash, size_t size) {
+  return static_cast<size_t>(hash >> (64 - std::countr_zero(size)));
+}
+
 }  // namespace
 
-uint32_t LookupTableBuilder::AddList(const RefList& refs) {
-  std::vector<uint32_t> true_hits;
-  std::vector<uint32_t> candidates;
+uint32_t LookupTableBuilder::AddList(std::span<const PolygonRef> refs) {
+  // Encode into the scratch buffer: n_true, true hits, n_cand, candidates,
+  // each section sorted.
+  const uint32_t n = static_cast<uint32_t>(refs.size());
+  uint32_t n_true = 0;
+  for (const PolygonRef& r : refs) n_true += r.interior ? 1 : 0;
+  scratch_.resize(size_t{n} + 2);
+  scratch_[0] = n_true;
+  scratch_[n_true + 1] = n - n_true;
+  size_t next_true = 1, next_cand = n_true + 2;
   for (const PolygonRef& r : refs) {
-    (r.interior ? true_hits : candidates).push_back(r.polygon_id);
+    scratch_[r.interior ? next_true++ : next_cand++] = r.polygon_id;
   }
-  std::sort(true_hits.begin(), true_hits.end());
-  std::sort(candidates.begin(), candidates.end());
+  std::sort(scratch_.begin() + 1, scratch_.begin() + 1 + n_true);
+  std::sort(scratch_.begin() + 2 + n_true, scratch_.end());
 
-  std::vector<uint32_t> enc;
-  enc.reserve(refs.size() + 2);
-  enc.push_back(static_cast<uint32_t>(true_hits.size()));
-  enc.insert(enc.end(), true_hits.begin(), true_hits.end());
-  enc.push_back(static_cast<uint32_t>(candidates.size()));
-  enc.insert(enc.end(), candidates.begin(), candidates.end());
-
-  uint64_t h = HashEncoding(enc);
-  auto it = dedup_.find(h);
-  bool hash_taken = false;
-  if (it != dedup_.end()) {
-    // A hash hit must still match content: different lists could collide on
-    // the 64-bit hash.
-    const std::vector<uint32_t>& existing = it->second;
-    if (existing.size() == enc.size() + 1 &&
-        std::equal(enc.begin(), enc.end(), existing.begin() + 1)) {
-      return existing[0];
+  if (2 * (used_ + 1) > slots_.size()) Grow();
+  const uint64_t h = HashEncoding(scratch_);
+  std::vector<uint32_t>& data = table_.data_;
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = HomeSlot(h, slots_.size());; i = (i + 1) & mask) {
+    Slot& slot = slots_[i];
+    if (slot.offset_plus1 == 0) {
+      ACT_CHECK_MSG(data.size() + scratch_.size() <
+                        std::numeric_limits<uint32_t>::max(),
+                    "lookup table exceeds 32-bit offsets");
+      const uint32_t offset = static_cast<uint32_t>(data.size());
+      data.insert(data.end(), scratch_.begin(), scratch_.end());
+      slot = {h, offset + 1};
+      ++used_;
+      return offset;
     }
-    hash_taken = true;
+    if (slot.hash != h) continue;
+    // A hash hit must still match content: different lists can collide on
+    // the 64-bit hash, and then probing simply continues. The stored
+    // entry's length follows from its two counts.
+    const uint32_t offset = slot.offset_plus1 - 1;
+    const uint32_t stored_true = data[offset];
+    if (stored_true == n_true && data[offset + 1 + n_true] == n - n_true &&
+        std::equal(scratch_.begin(), scratch_.end(), data.begin() + offset)) {
+      return offset;
+    }
   }
+}
 
-  uint32_t offset = static_cast<uint32_t>(table_.data_.size());
-  table_.data_.insert(table_.data_.end(), enc.begin(), enc.end());
-  if (!hash_taken) {
-    // On the (vanishingly rare) collision the new list is stored but not
-    // recorded for dedup; correctness is unaffected.
-    std::vector<uint32_t> stored;
-    stored.reserve(enc.size() + 1);
-    stored.push_back(offset);
-    stored.insert(stored.end(), enc.begin(), enc.end());
-    dedup_.emplace(h, std::move(stored));
+void LookupTableBuilder::Grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(old.empty() ? 64 : old.size() * 2, Slot{});
+  const size_t mask = slots_.size() - 1;
+  for (const Slot& s : old) {
+    if (s.offset_plus1 == 0) continue;
+    size_t i = HomeSlot(s.hash, slots_.size());
+    while (slots_[i].offset_plus1 != 0) i = (i + 1) & mask;
+    slots_[i] = s;
   }
-  return offset;
 }
 
 LookupTable LookupTableBuilder::Build() && {
-  dedup_.clear();
+  slots_ = {};
+  scratch_ = {};
+  used_ = 0;
   return std::move(table_);
 }
 

@@ -4,13 +4,16 @@
 // integer array. ... Each encoded entry contains the number of true hits
 // followed by the true hits, the number of candidate hits, and the candidate
 // hits." Identical reference lists are stored once ("we only store unique
-// polygon reference lists").
+// polygon reference lists"). The builder dedups without allocating per
+// list: each list is encoded into a reused scratch buffer, and an
+// open-addressing index of (hash, offset) pairs is checked against the
+// table's own words, so a stored list is never kept twice in any form.
 
 #ifndef ACTJOIN_ACT_LOOKUP_TABLE_H_
 #define ACTJOIN_ACT_LOOKUP_TABLE_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "act/polygon_ref.h"
@@ -37,6 +40,8 @@ class LookupTable {
 
   size_t SizeBytes() const { return data_.size() * sizeof(uint32_t); }
   size_t size() const { return data_.size(); }
+  /// The raw encoded array (all entries back to back).
+  std::span<const uint32_t> words() const { return data_; }
   bool empty() const { return data_.empty(); }
 
  private:
@@ -48,15 +53,25 @@ class LookupTableBuilder {
  public:
   /// Adds a reference list (or returns the offset of an identical existing
   /// one). The list may be in any order; storage is true hits first.
-  uint32_t AddList(const RefList& refs);
+  uint32_t AddList(std::span<const PolygonRef> refs);
 
   LookupTable Build() &&;
 
  private:
+  /// One dedup slot: FNV-1a hash of a stored entry and its offset + 1
+  /// (0 marks an empty slot).
+  struct Slot {
+    uint64_t hash = 0;
+    uint32_t offset_plus1 = 0;
+  };
+
+  /// Doubles the slot array and re-inserts every stored entry.
+  void Grow();
+
   LookupTable table_;
-  // Dedup by FNV-1a hash of the encoded list; collisions verified by a full
-  // comparison against the stored encoding.
-  std::unordered_map<uint64_t, std::vector<uint32_t>> dedup_;
+  std::vector<uint32_t> scratch_;  // encoding of the list being added
+  std::vector<Slot> slots_;        // power-of-two size, at most half full
+  size_t used_ = 0;
 };
 
 }  // namespace actjoin::act

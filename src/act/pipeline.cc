@@ -165,6 +165,7 @@ PolygonIndex PolygonIndex::WithDelta(
 
   // Coverings for the added polygons only, and the sorted, coalesced union
   // of their cells' leaf ranges: the only region the inserts can change.
+  util::WallTimer timer;
   const uint32_t n_added = static_cast<uint32_t>(added.size());
   std::vector<std::vector<geo::CellId>> coverings, interiors;
   ComputeCoverings(*next.classifier_, grid_, opts_, first_id, n_added,
@@ -179,97 +180,91 @@ PolygonIndex PolygonIndex::WithDelta(
   }
   CoalesceRanges(&region);
 
-  // One linear pass over the base covering: drop removed references (and
-  // cells left empty), then route each surviving cell either straight to
-  // the output or — when its range meets the added region — into a local
-  // builder. Cells and region are both sorted and disjoint, so one
-  // forward-only cursor over the region answers "meets" for every cell.
-  std::vector<geo::CellId> kept_cells;
-  std::vector<RefList> kept_refs;
-  kept_cells.reserve(covering_.size());
-  kept_refs.reserve(covering_.size());
-  SuperCoveringBuilder local;
-  size_t r = 0;
-  for (size_t i = 0; i < covering_.size(); ++i) {
-    const geo::CellId& cell = covering_.cell(i);
-    const RefList& base_refs = covering_.refs(i);
-    RefList refs;
-    for (const PolygonRef& ref : base_refs) {
-      if (!removed[ref.polygon_id]) refs.push_back(ref);
-    }
-    if (refs.size() != base_refs.size()) touch(cell);
-    if (refs.empty()) continue;  // cell no longer references anything
+  // The base covering's cells and the region are both sorted and
+  // disjoint, so one forward-only cursor over the region answers "does
+  // this cell meet the added region" for every cell in order.
+  auto meets_region = [&](const geo::CellId& cell, size_t* cursor) {
     const uint64_t lo = cell.range_min().id(), hi = cell.range_max().id();
-    while (r < region.size() && region[r].second < lo) ++r;
-    if (r < region.size() && region[r].first <= hi) {
-      local.Insert(cell, refs);  // disjoint from its peers: no conflict
-    } else {
-      kept_cells.push_back(cell);
-      kept_refs.push_back(std::move(refs));
-    }
-  }
-
-  // Listing 1 on the local region only: all boundary coverings, then all
-  // interiors, exactly the order a global builder would see them in.
-  for (uint32_t i = 0; i < n_added; ++i) {
-    local.AddCovering(coverings[i], first_id + i, /*interior=*/false);
-  }
-  for (uint32_t i = 0; i < n_added; ++i) {
-    local.AddCovering(interiors[i], first_id + i, /*interior=*/true);
-  }
-  SuperCovering rebuilt = local.Build();
-  auto carries_added = [&](const RefList& refs) {
+    while (*cursor < region.size() && region[*cursor].second < lo) ++*cursor;
+    return *cursor < region.size() && region[*cursor].first <= hi;
+  };
+  auto removes_any = [&](std::span<const PolygonRef> refs) {
     return std::any_of(refs.begin(), refs.end(), [&](const PolygonRef& ref) {
-      return ref.polygon_id >= first_id;
+      return removed[ref.polygon_id];
     });
   };
-  // Rebuilt cells whose reference list gained an added polygon; refinement
-  // below only subdivides them, so the touched successor cells are found
-  // inside these ranges.
-  std::vector<std::pair<uint64_t, uint64_t>> added_spans;
-  for (size_t i = 0; i < rebuilt.size(); ++i) {
-    if (carries_added(rebuilt.refs(i))) {
-      added_spans.emplace_back(rebuilt.cell(i).range_min().id(),
-                               rebuilt.cell(i).range_max().id());
+  // Base references minus the removed ones, in a reused buffer.
+  std::vector<PolygonRef> kept;
+  auto filter = [&](std::span<const PolygonRef> refs) {
+    kept.clear();
+    for (const PolygonRef& ref : refs) {
+      if (!removed[ref.polygon_id]) kept.push_back(ref);
     }
-  }
+    return std::span<const PolygonRef>(kept);
+  };
 
-  // Merge the rebuilt region back between the carried-over cells; the two
-  // sets are disjoint, so id order is range order.
-  std::vector<geo::CellId> cells;
-  std::vector<RefList> refs;
-  cells.reserve(kept_cells.size() + rebuilt.size());
-  refs.reserve(kept_cells.size() + rebuilt.size());
-  size_t k = 0;
-  for (size_t j = 0; j < rebuilt.size(); ++j) {
-    while (k < kept_cells.size() && kept_cells[k] < rebuilt.cell(j)) {
-      cells.push_back(kept_cells[k]);
-      refs.push_back(std::move(kept_refs[k]));
-      ++k;
+  // Listing 1 on the added region only: the base cells meeting it (minus
+  // removed references; they are disjoint from their peers, so they insert
+  // without conflict), then all boundary coverings, then all interiors —
+  // exactly the order a global builder would see them in.
+  SuperCovering rebuilt;
+  if (n_added > 0) {
+    SuperCoveringBuilder local;
+    size_t cursor = 0;
+    for (size_t i = 0; i < covering_.size(); ++i) {
+      const geo::CellId& cell = covering_.cell(i);
+      if (!meets_region(cell, &cursor)) continue;
+      std::span<const PolygonRef> refs = filter(covering_.refs(i));
+      if (!refs.empty()) local.Insert(cell, refs);
     }
-    cells.push_back(rebuilt.cell(j));
-    refs.push_back(rebuilt.refs(j));
-  }
-  for (; k < kept_cells.size(); ++k) {
-    cells.push_back(kept_cells[k]);
-    refs.push_back(std::move(kept_refs[k]));
-  }
-  next.covering_ = SuperCovering(std::move(cells), std::move(refs));
-  if (n_added > 0 && opts_.precision_bound_m.has_value()) {
-    next.covering_ = RefineToPrecision(
-        next.covering_, *opts_.precision_bound_m, grid_, *next.classifier_);
-  }
-  if (touched_ranges != nullptr) {
-    const std::vector<geo::CellId>& out = next.covering_.cells();
-    for (const auto& [lo, hi] : added_spans) {
-      auto it = std::lower_bound(
-          out.begin(), out.end(), lo,
-          [](const geo::CellId& c, uint64_t id) { return c.id() < id; });
-      for (; it != out.end() && it->id() <= hi; ++it) {
-        if (carries_added(next.covering_.refs(it - out.begin()))) touch(*it);
+    for (uint32_t i = 0; i < n_added; ++i) {
+      local.AddCovering(coverings[i], first_id + i, /*interior=*/false);
+    }
+    for (uint32_t i = 0; i < n_added; ++i) {
+      local.AddCovering(interiors[i], first_id + i, /*interior=*/true);
+    }
+    rebuilt = local.Build();
+    // Carried-over cells are already refined (Build refines, snapshots
+    // persist the refined covering, and refinement leaves a refined cell
+    // as it is), so only the rebuilt region needs the precision bound.
+    if (opts_.precision_bound_m.has_value()) {
+      rebuilt = RefineToPrecision(rebuilt, *opts_.precision_bound_m, grid_,
+                                  *next.classifier_);
+    }
+    for (size_t j = 0; j < rebuilt.size(); ++j) {
+      const std::span<const PolygonRef> refs = rebuilt.refs(j);
+      if (std::any_of(refs.begin(), refs.end(), [&](const PolygonRef& ref) {
+            return ref.polygon_id >= first_id;
+          })) {
+        touch(rebuilt.cell(j));
       }
     }
   }
+
+  // One linear pass writes the successor covering: every base cell outside
+  // the region is carried over (minus removed references, dropped once
+  // empty), with the rebuilt cells spliced in id order — the two sets are
+  // disjoint, so id order is range order.
+  SuperCovering& out = next.covering_;
+  out.Reserve(covering_.size() + rebuilt.size(),
+              covering_.num_refs() + rebuilt.num_refs());
+  size_t cursor = 0, j = 0;
+  for (size_t i = 0; i < covering_.size(); ++i) {
+    const geo::CellId& cell = covering_.cell(i);
+    std::span<const PolygonRef> refs = covering_.refs(i);
+    if (removes_any(refs)) {
+      touch(cell);
+      refs = filter(refs);
+    }
+    if (meets_region(cell, &cursor)) continue;  // replaced by rebuilt
+    if (refs.empty()) continue;  // cell no longer references anything
+    for (; j < rebuilt.size() && rebuilt.cell(j) < cell; ++j) {
+      out.Append(rebuilt.cell(j), rebuilt.refs(j));
+    }
+    out.Append(cell, refs);
+  }
+  for (; j < rebuilt.size(); ++j) out.Append(rebuilt.cell(j), rebuilt.refs(j));
+  next.timings_.delta_pass_s = timer.ElapsedSeconds();
   next.Reencode();  // also compacts the lookup table (paper: periodic reorg)
   return next;
 }

@@ -50,6 +50,9 @@ struct BuildTimings {
   double refine_s = 0;
   double encode_s = 0;
   double trie_build_s = 0;
+  /// WithDelta only: the added polygons' coverings plus the pass that
+  /// writes the successor covering (encode and trie build are above).
+  double delta_pass_s = 0;
 };
 
 /// A fully built polygon index. Owns a copy of the polygons, so the index
@@ -99,10 +102,11 @@ class PolygonIndex {
   /// through the builder; every other cell is carried over as-is, which
   /// yields the same covering as inserting into the whole set (an insert
   /// only reads or changes cells meeting its range). The precision bound,
-  /// if any, is re-applied after an add, then the covering is encoded
-  /// once. Cost: one linear pass over the covering plus Encode and trie
-  /// build over the whole set; covering work is proportional to the added
-  /// polygons and the cells they meet.
+  /// if any, is re-applied to the rebuilt cells, then the covering is
+  /// encoded once. Cost: one linear pass that writes the flat successor
+  /// covering (a remove-only delta is nothing but that pass) plus Encode
+  /// and trie build over the whole set; covering work is proportional to
+  /// the added polygons and the cells they meet.
   ///
   /// A non-null `touched_ranges` receives (unsorted, possibly overlapping)
   /// leaf-id intervals [first, last] of every base cell that lost a removed

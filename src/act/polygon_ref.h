@@ -10,6 +10,7 @@
 #define ACTJOIN_ACT_POLYGON_REF_H_
 
 #include <cstdint>
+#include <span>
 
 #include "util/check.h"
 #include "util/small_vector.h"
@@ -40,8 +41,10 @@ struct PolygonRef {
   }
 };
 
-/// Reference list of one cell; one or two entries in the common case of
-/// largely disjoint polygons, so two slots are kept inline.
+/// Mutable reference list of one cell inside SuperCoveringBuilder; one or
+/// two entries in the common case of largely disjoint polygons, so two
+/// slots are kept inline. A frozen SuperCovering stores all lists in one
+/// flat array and hands them out as spans.
 using RefList = util::SmallVector<PolygonRef, 2>;
 
 /// Merges `ref` into `list`. An interior reference absorbs a boundary
@@ -57,13 +60,13 @@ inline void MergeRef(RefList* list, const PolygonRef& ref) {
   list->push_back(ref);
 }
 
-inline void MergeRefs(RefList* list, const RefList& other) {
+inline void MergeRefs(RefList* list, std::span<const PolygonRef> other) {
   for (const PolygonRef& r : other) MergeRef(list, r);
 }
 
 /// True iff at least one reference is a boundary (candidate) reference —
 /// the paper's definition of an "expensive cell" (Sec. 3.3.1).
-inline bool HasCandidate(const RefList& list) {
+inline bool HasCandidate(std::span<const PolygonRef> list) {
   for (const PolygonRef& r : list) {
     if (!r.interior) return true;
   }

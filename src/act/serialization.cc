@@ -135,7 +135,7 @@ void AppendCovering(const SuperCovering& sc, util::ByteWriter* w) {
   w->PutU64(sc.size());
   for (size_t i = 0; i < sc.size(); ++i) {
     w->PutU64(sc.cell(i).id());
-    const RefList& refs = sc.refs(i);
+    const std::span<const PolygonRef> refs = sc.refs(i);
     w->PutU32(static_cast<uint32_t>(refs.size()));
     for (const PolygonRef& r : refs) w->PutU32(r.Encode());
   }
@@ -150,10 +150,14 @@ bool ParseCovering(std::span<const uint8_t> payload, size_t n_polys,
     Fail(error, LoadError::kBadData);
     return false;
   }
-  std::vector<geo::CellId> cells;
-  std::vector<RefList> refs;
-  cells.reserve(n_cells);
-  refs.reserve(n_cells);
+  // Every cell costs 12 bytes besides its references, so the rest of a
+  // well-formed payload is exactly the reference array.
+  const uint64_t cell_bytes = n_cells * 12;
+  SuperCovering out;
+  out.Reserve(n_cells, r.remaining() > cell_bytes
+                           ? (r.remaining() - cell_bytes) / 4
+                           : 0);
+  std::vector<PolygonRef> list;
   for (uint64_t k = 0; k < n_cells; ++k) {
     uint64_t id = r.U64();
     uint32_t n_refs = r.U32();
@@ -162,11 +166,11 @@ bool ParseCovering(std::span<const uint8_t> payload, size_t n_polys,
       return false;
     }
     geo::CellId cell(id);
-    if (!cell.is_valid() || (k > 0 && !(cells.back() < cell))) {  // sorted
-      Fail(error, LoadError::kBadData);
+    if (!cell.is_valid() || (k > 0 && !(out.cells().back() < cell))) {
+      Fail(error, LoadError::kBadData);  // not sorted
       return false;
     }
-    RefList list;
+    list.clear();
     for (uint32_t i = 0; i < n_refs; ++i) {
       PolygonRef ref = PolygonRef::Decode(r.U32());
       if (!r.ok() || ref.polygon_id >= n_polys) {
@@ -175,14 +179,13 @@ bool ParseCovering(std::span<const uint8_t> payload, size_t n_polys,
       }
       list.push_back(ref);
     }
-    cells.push_back(cell);
-    refs.push_back(std::move(list));
+    out.Append(cell, list);
   }
   if (!r.AtEnd()) {
     Fail(error, LoadError::kBadData);
     return false;
   }
-  *covering = SuperCovering(std::move(cells), std::move(refs));
+  *covering = std::move(out);
   if (!covering->IsDisjoint()) {
     Fail(error, LoadError::kBadData);
     return false;

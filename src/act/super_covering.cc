@@ -1,6 +1,7 @@
 #include "act/super_covering.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "cover/cell_union.h"
 #include "util/check.h"
@@ -14,11 +15,30 @@ using geom::RegionRelation;
 // SuperCovering
 // ---------------------------------------------------------------------------
 
-SuperCovering::SuperCovering(std::vector<CellId> cells,
-                             std::vector<RefList> refs)
-    : cells_(std::move(cells)), refs_(std::move(refs)) {
-  ACT_CHECK(cells_.size() == refs_.size());
-  ACT_CHECK(std::is_sorted(cells_.begin(), cells_.end()));
+SuperCovering::SuperCovering(const std::vector<CellId>& cells,
+                             const std::vector<RefList>& refs) {
+  ACT_CHECK(cells.size() == refs.size());
+  size_t n_refs = 0;
+  for (const RefList& r : refs) n_refs += r.size();
+  Reserve(cells.size(), n_refs);
+  for (size_t i = 0; i < cells.size(); ++i) Append(cells[i], refs[i]);
+}
+
+void SuperCovering::Reserve(size_t cells, size_t refs) {
+  cells_.reserve(cells);
+  offsets_.reserve(cells + 1);
+  refs_.reserve(refs);
+}
+
+void SuperCovering::Append(const CellId& cell,
+                           std::span<const PolygonRef> refs) {
+  ACT_CHECK(cells_.empty() || cells_.back() < cell);
+  if (offsets_.empty()) offsets_.push_back(0);
+  refs_.insert(refs_.end(), refs.begin(), refs.end());
+  ACT_CHECK_MSG(refs_.size() <= std::numeric_limits<uint32_t>::max(),
+                "super covering exceeds 32-bit reference offsets");
+  cells_.push_back(cell);
+  offsets_.push_back(static_cast<uint32_t>(refs_.size()));
 }
 
 int64_t SuperCovering::FindContaining(const CellId& id) const {
@@ -34,8 +54,8 @@ int64_t SuperCovering::FindContaining(const CellId& id) const {
 
 uint64_t SuperCovering::CountExpensiveCells() const {
   uint64_t n = 0;
-  for (const RefList& r : refs_) {
-    if (HasCandidate(r)) ++n;
+  for (size_t i = 0; i < size(); ++i) {
+    if (HasCandidate(refs(i))) ++n;
   }
   return n;
 }
@@ -55,12 +75,12 @@ bool SuperCovering::IsDisjoint() const {
 
 void SuperCoveringBuilder::AddCovering(std::span<const CellId> cells,
                                        uint32_t polygon_id, bool interior) {
-  RefList refs;
-  refs.push_back({polygon_id, interior});
-  for (const CellId& c : cells) Insert(c, refs);
+  const PolygonRef ref{polygon_id, interior};
+  for (const CellId& c : cells) Insert(c, {&ref, 1});
 }
 
-void SuperCoveringBuilder::Insert(const CellId& cell, const RefList& refs) {
+void SuperCoveringBuilder::Insert(const CellId& cell,
+                                  std::span<const PolygonRef> refs) {
   ACT_CHECK(cell.is_valid());
   // Case 0: the cell already exists — merge reference lists.
   auto exact = map_.find(cell);
@@ -102,7 +122,7 @@ void SuperCoveringBuilder::Insert(const CellId& cell, const RefList& refs) {
   auto hi = map_.upper_bound(cell.range_max());
   if (lo == hi) {
     // Case 3: no conflict at all.
-    map_.emplace(cell, refs);
+    map_.emplace(cell, RefList(refs));
     return;
   }
   std::vector<CellId> holes;
@@ -114,21 +134,18 @@ void SuperCoveringBuilder::Insert(const CellId& cell, const RefList& refs) {
   std::vector<CellId> diff;
   cover::CellDifferenceMulti(cell, holes, &diff);
   for (const CellId& d : diff) {
-    map_.emplace(d, refs);
+    map_.emplace(d, RefList(refs));
   }
 }
 
 SuperCovering SuperCoveringBuilder::Build() {
-  std::vector<CellId> cells;
-  std::vector<RefList> refs;
-  cells.reserve(map_.size());
-  refs.reserve(map_.size());
-  for (auto& [cell, r] : map_) {
-    cells.push_back(cell);
-    refs.push_back(std::move(r));
-  }
+  SuperCovering out;
+  // Every cell carries at least one reference; lists longer than that
+  // grow the reference array geometrically.
+  out.Reserve(map_.size(), map_.size());
+  for (const auto& [cell, r] : map_) out.Append(cell, r);
   map_.clear();
-  return SuperCovering(std::move(cells), std::move(refs));
+  return out;
 }
 
 const std::pair<const CellId, RefList>* SuperCoveringBuilder::FindContaining(
@@ -184,13 +201,12 @@ int64_t SuperCoveringBuilder::SplitCell(const CellId& cell,
 
 namespace {
 
-void RefineCell(const CellId& cell, const RefList& refs, double bound_m,
-                const geo::Grid& grid, const CellClassifier& classifier,
-                std::vector<CellId>* out_cells, std::vector<RefList>* out_refs) {
+void RefineCell(const CellId& cell, std::span<const PolygonRef> refs,
+                double bound_m, const geo::Grid& grid,
+                const CellClassifier& classifier, SuperCovering* out) {
   // Interior-only cells are true hits at any size; emit as-is.
   if (!HasCandidate(refs)) {
-    out_cells->push_back(cell);
-    out_refs->push_back(refs);
+    out->Append(cell, refs);
     return;
   }
   // Re-classify boundary references against *this* cell before anything
@@ -222,13 +238,11 @@ void RefineCell(const CellId& cell, const RefList& refs, double bound_m,
   // sqrt(2) * delta").
   if (!HasCandidate(live) || cell.is_leaf() ||
       grid.CellDiagonalMeters(cell) <= bound_m) {
-    out_cells->push_back(cell);
-    out_refs->push_back(live);
+    out->Append(cell, live);
     return;
   }
   for (int k = 0; k < 4; ++k) {
-    RefineCell(cell.child(k), live, bound_m, grid, classifier, out_cells,
-               out_refs);
+    RefineCell(cell.child(k), live, bound_m, grid, classifier, out);
   }
 }
 
@@ -238,17 +252,14 @@ SuperCovering RefineToPrecision(const SuperCovering& in, double bound_m,
                                 const geo::Grid& grid,
                                 const CellClassifier& classifier) {
   ACT_CHECK(bound_m > 0);
-  std::vector<CellId> cells;
-  std::vector<RefList> refs;
-  cells.reserve(in.size());
-  refs.reserve(in.size());
+  SuperCovering out;
+  out.Reserve(in.size(), in.num_refs());
   // Children are emitted in curve order inside each original cell and
   // original cells are sorted, so the output is sorted by construction.
   for (size_t i = 0; i < in.size(); ++i) {
-    RefineCell(in.cell(i), in.refs(i), bound_m, grid, classifier, &cells,
-               &refs);
+    RefineCell(in.cell(i), in.refs(i), bound_m, grid, classifier, &out);
   }
-  return SuperCovering(std::move(cells), std::move(refs));
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -260,7 +271,7 @@ EncodedCovering Encode(const SuperCovering& sc, bool inline_refs) {
   out.cells.reserve(sc.size());
   LookupTableBuilder builder;
   for (size_t i = 0; i < sc.size(); ++i) {
-    const RefList& refs = sc.refs(i);
+    const std::span<const PolygonRef> refs = sc.refs(i);
     ACT_CHECK(!refs.empty());
     TaggedEntry entry;
     if (inline_refs && refs.size() == 1) {

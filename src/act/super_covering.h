@@ -39,16 +39,29 @@ class CellClassifier {
                                         const geo::CellId& cell) const = 0;
 };
 
-/// Frozen super covering: cells sorted by id with parallel reference lists.
+/// Frozen super covering: cells sorted by id, with every cell's reference
+/// list stored back to back in one flat array — the layout of the
+/// snapshot's covering section, and no per-cell allocation (the paper's
+/// lookup table is a single array for the same reason, Sec. 3.1.2). Cell i
+/// references refs_[offsets_[i], offsets_[i + 1]); offsets are 32-bit,
+/// checked on Append.
 class SuperCovering {
  public:
   SuperCovering() = default;
-  SuperCovering(std::vector<geo::CellId> cells, std::vector<RefList> refs);
+  /// Packs per-cell lists into the flat form (a convenience for tests and
+  /// hand-built coverings).
+  SuperCovering(const std::vector<geo::CellId>& cells,
+                const std::vector<RefList>& refs);
 
   size_t size() const { return cells_.size(); }
   const std::vector<geo::CellId>& cells() const { return cells_; }
   const geo::CellId& cell(size_t i) const { return cells_[i]; }
-  const RefList& refs(size_t i) const { return refs_[i]; }
+  std::span<const PolygonRef> refs(size_t i) const {
+    return {refs_.data() + offsets_[i],
+            static_cast<size_t>(offsets_[i + 1] - offsets_[i])};
+  }
+  /// Total references over all cells.
+  size_t num_refs() const { return refs_.size(); }
 
   /// Index of the unique cell containing `id` (cells are disjoint), or -1.
   /// This is the reference probe all index structures must agree with.
@@ -61,9 +74,18 @@ class SuperCovering {
   /// Verifies pairwise disjointness (test support; O(n)).
   bool IsDisjoint() const;
 
+  bool operator==(const SuperCovering&) const = default;
+
+  /// Writers of a covering (the builder, refinement, snapshot parsing and
+  /// the delta pass) fill the flat arrays in id order through these.
+  void Reserve(size_t cells, size_t refs);
+  /// Appends one cell after all present ones (ids must keep increasing).
+  void Append(const geo::CellId& cell, std::span<const PolygonRef> refs);
+
  private:
   std::vector<geo::CellId> cells_;
-  std::vector<RefList> refs_;
+  std::vector<uint32_t> offsets_;  // size() + 1 entries once non-empty
+  std::vector<PolygonRef> refs_;
 };
 
 /// Mutable form used by the builder (Listing 1) and by index training
@@ -78,7 +100,7 @@ class SuperCoveringBuilder {
                    bool interior);
 
   /// General insertion with conflict resolution; exposed for tests.
-  void Insert(const geo::CellId& cell, const RefList& refs);
+  void Insert(const geo::CellId& cell, std::span<const PolygonRef> refs);
 
   /// Freezes into the immutable form. The builder is left empty.
   SuperCovering Build();
@@ -127,9 +149,10 @@ struct EncodedCovering {
 };
 
 /// Encodes reference lists into tagged entries (inlining one or two refs,
-/// spilling longer lists to the lookup table). With inline_refs = false all
-/// lists go through the table — an ablation knob for the paper's "avoid an
-/// unnecessary indirection" design choice.
+/// spilling longer lists to the lookup table, which stores each distinct
+/// list once). With inline_refs = false all lists go through the table —
+/// an ablation knob for the paper's "avoid an unnecessary indirection"
+/// design choice.
 EncodedCovering Encode(const SuperCovering& sc, bool inline_refs = true);
 
 }  // namespace actjoin::act

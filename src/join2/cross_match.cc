@@ -27,6 +27,15 @@ IntervalView IntervalView::FromIndex(const service::ShardedIndex& index,
   IntervalView v;
   v.index_ = &index;
   v.locs_.assign(index.num_polygons(), Loc{});
+  size_t n_cells = 0, n_refs = 0;
+  for (int s = 0; s < index.num_shards(); ++s) {
+    if (const act::PolygonIndex* shard = index.shard_index(s)) {
+      n_cells += shard->covering().size();
+      n_refs += shard->covering().num_refs();
+    }
+  }
+  v.intervals_.reserve(n_cells);
+  v.refs_.reserve(n_refs);
   for (int s = 0; s < index.num_shards(); ++s) {
     const act::PolygonIndex* shard = index.shard_index(s);
     if (shard == nullptr) continue;
@@ -48,7 +57,7 @@ IntervalView IntervalView::FromIndex(const service::ShardedIndex& index,
       const uint64_t lo = std::max(cell.range_min().id(), shard_lo);
       const uint64_t hi = std::min(cell.range_max().id(), shard_hi);
       if (lo > hi) continue;  // cell sticks out past the shard entirely
-      const act::RefList& refs = sc.refs(i);
+      const std::span<const act::PolygonRef> refs = sc.refs(i);
       if (refs.empty()) continue;
       const uint32_t rb = static_cast<uint32_t>(v.refs_.size());
       for (const act::PolygonRef& r : refs) {
@@ -58,12 +67,13 @@ IntervalView IntervalView::FromIndex(const service::ShardedIndex& index,
           {lo, hi, rb, static_cast<uint32_t>(v.refs_.size())});
     }
   }
-  // Shards emit in id order and per-shard coverings are sorted, but a
-  // boundary-straddling cell appears (clipped) in several shards out of
-  // order relative to its neighbors — one sort canonicalizes. Intervals
-  // stay pairwise disjoint by the clipping argument above.
-  std::sort(v.intervals_.begin(), v.intervals_.end(),
-            [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
+  // Sorted by construction: shards are visited in ShardRange order, each
+  // shard's covering is sorted and disjoint, and clipping to the shard's
+  // interval keeps that order — a boundary-straddling cell's clipped
+  // pieces each land inside their own shard's interval.
+  ACT_CHECK(std::is_sorted(
+      v.intervals_.begin(), v.intervals_.end(),
+      [](const Interval& a, const Interval& b) { return a.lo < b.lo; }));
   v.Coarsen(cells_per_polygon);
   return v;
 }

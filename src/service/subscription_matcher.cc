@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <span>
 #include <utility>
 
 #include "act/pipeline.h"
@@ -42,7 +43,7 @@ void ForEachClippedCell(const ShardedIndex& index, Fn&& fn) {
       const uint64_t lo = std::max(cell.range_min().id(), shard_lo);
       const uint64_t hi = std::min(cell.range_max().id(), shard_hi);
       if (lo > hi) continue;
-      const act::RefList& refs = sc.refs(i);
+      const std::span<const act::PolygonRef> refs = sc.refs(i);
       if (refs.empty()) continue;
       fn(lo, hi, refs, gids);
     }
@@ -68,7 +69,8 @@ void SubscriptionMatcher::BuildCoverage(const ShardedIndex& index, Sub* sub) {
     // track leaving it through the far side still gets its LEAVE.
     std::vector<uint32_t> watched;
     ForEachClippedCell(
-        index, [&](uint64_t lo, uint64_t hi, const act::RefList& refs,
+        index, [&](uint64_t lo, uint64_t hi,
+                   std::span<const act::PolygonRef> refs,
                    const std::vector<uint32_t>& gids) {
           if (hi < sub->spec.cell_lo || lo > sub->spec.cell_hi) return;
           for (const act::PolygonRef& r : refs) {
@@ -83,7 +85,8 @@ void SubscriptionMatcher::BuildCoverage(const ShardedIndex& index, Sub* sub) {
 
   std::vector<std::pair<uint64_t, uint64_t>> intervals;
   ForEachClippedCell(
-      index, [&](uint64_t lo, uint64_t hi, const act::RefList& refs,
+      index, [&](uint64_t lo, uint64_t hi,
+                 std::span<const act::PolygonRef> refs,
                  const std::vector<uint32_t>& gids) {
         bool hit = sub->watch_all;
         if (!hit) {

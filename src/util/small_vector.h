@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstring>
 #include <initializer_list>
+#include <span>
 #include <type_traits>
 
 #include "util/check.h"
@@ -31,6 +32,11 @@ class SmallVector {
   SmallVector() = default;
 
   SmallVector(std::initializer_list<T> init) {
+    for (const T& v : init) push_back(v);
+  }
+
+  explicit SmallVector(std::span<const T> init) {
+    reserve(static_cast<uint32_t>(init.size()));
     for (const T& v : init) push_back(v);
   }
 

@@ -10,18 +10,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
+#include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "act/classifier.h"
 #include "act/lookup_table.h"
+#include "act/pipeline.h"
 #include "act/polygon_ref.h"
 #include "act/super_covering.h"
 #include "act/tagged_entry.h"
 #include "cover/coverer.h"
 #include "geo/grid.h"
 #include "util/random.h"
+#include "workloads/datasets.h"
 #include "workloads/polygon_gen.h"
 
 namespace actjoin::act {
@@ -131,6 +137,9 @@ TEST(LookupTableTest, DeduplicatesIdenticalLists) {
   uint32_t off_a = builder.AddList(a);
   uint32_t off_b = builder.AddList(b);
   EXPECT_EQ(off_a, off_b);
+  // Any contiguous list is accepted, e.g. a covering's flat array.
+  const std::vector<PolygonRef> flat = {{2, false}, {3, false}, {1, true}};
+  EXPECT_EQ(builder.AddList(flat), off_a);
 
   RefList c;
   c.push_back({1, true});
@@ -191,7 +200,7 @@ TEST(SuperCoveringBuilder, AncestorConflictPreservesPrecision) {
   EXPECT_EQ(sc.cell(idx), small);
   // The small cell carries both polygons' refs, with its own interior flag
   // preserved (precision-preserving).
-  const RefList& refs = sc.refs(idx);
+  const std::span<const PolygonRef> refs = sc.refs(idx);
   ASSERT_EQ(refs.size(), 2u);
   std::map<uint32_t, bool> by_pid;
   for (const auto& r : refs) by_pid[r.polygon_id] = r.interior;
@@ -203,7 +212,7 @@ TEST(SuperCoveringBuilder, AncestorConflictPreservesPrecision) {
   if (!probe.contains(small) && probe != small) {
     int64_t d_idx = sc.FindContaining(probe.range_min());
     ASSERT_GE(d_idx, 0);
-    const RefList& d_refs = sc.refs(d_idx);
+    const std::span<const PolygonRef> d_refs = sc.refs(d_idx);
     for (const auto& r : d_refs) EXPECT_EQ(r.polygon_id, 1u);
   }
 }
@@ -370,7 +379,7 @@ TEST(RefineToPrecision, BoundaryCellsMeetBound) {
     EXPECT_GT(fine.size(), prev_size);
     prev_size = fine.size();
     for (size_t i = 0; i < fine.size(); ++i) {
-      const RefList& refs = fine.refs(i);
+      const std::span<const PolygonRef> refs = fine.refs(i);
       if (HasCandidate(refs)) {
         ASSERT_LE(grid.CellDiagonalMeters(fine.cell(i)), bound)
             << fine.cell(i).ToString();
@@ -439,6 +448,170 @@ TEST(Encode, NoInlineForcesTable) {
   SuperCovering sc = b.Build();
   EncodedCovering enc = Encode(sc, /*inline_refs=*/false);
   EXPECT_EQ(KindOf(enc.cells[0].second), EntryKind::kTableOffset);
+}
+
+// ---------------------------------------------------------------------------
+// Flat covering layout and the lookup-table builder against a reference
+// ---------------------------------------------------------------------------
+
+// The original lookup-table builder, kept only as this file's oracle: it
+// dedups through an unordered_map from the FNV-1a hash of an encoded list
+// to a heap copy of that encoding (three vectors and a map node per list).
+class ReferenceTableBuilder {
+ public:
+  uint32_t AddList(std::span<const PolygonRef> refs) {
+    std::vector<uint32_t> true_hits, candidates;
+    for (const PolygonRef& r : refs) {
+      (r.interior ? true_hits : candidates).push_back(r.polygon_id);
+    }
+    std::sort(true_hits.begin(), true_hits.end());
+    std::sort(candidates.begin(), candidates.end());
+    std::vector<uint32_t> enc;
+    enc.push_back(static_cast<uint32_t>(true_hits.size()));
+    enc.insert(enc.end(), true_hits.begin(), true_hits.end());
+    enc.push_back(static_cast<uint32_t>(candidates.size()));
+    enc.insert(enc.end(), candidates.begin(), candidates.end());
+
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (uint32_t v : enc) {
+      h ^= v;
+      h *= 0x100000001b3ULL;
+    }
+    auto it = dedup_.find(h);
+    if (it != dedup_.end() && it->second.size() == enc.size() + 1 &&
+        std::equal(enc.begin(), enc.end(), it->second.begin() + 1)) {
+      return it->second[0];
+    }
+    const uint32_t offset = static_cast<uint32_t>(words.size());
+    words.insert(words.end(), enc.begin(), enc.end());
+    if (it == dedup_.end()) {
+      std::vector<uint32_t> stored{offset};
+      stored.insert(stored.end(), enc.begin(), enc.end());
+      dedup_.emplace(h, std::move(stored));
+    }
+    return offset;
+  }
+
+  std::vector<uint32_t> words;
+
+ private:
+  std::unordered_map<uint64_t, std::vector<uint32_t>> dedup_;
+};
+
+// Asserts Encode(sc) equals the reference encoding — cells with their
+// tagged entries, and the table word for word — with and without
+// inlining, and that the table holds every distinct list exactly once.
+void ExpectEncodeMatchesReference(const SuperCovering& sc) {
+  for (bool inline_refs : {true, false}) {
+    SCOPED_TRACE(inline_refs ? "inline_refs" : "table only");
+    ReferenceTableBuilder ref;
+    std::vector<std::pair<CellId, TaggedEntry>> want_cells;
+    for (size_t i = 0; i < sc.size(); ++i) {
+      const std::span<const PolygonRef> refs = sc.refs(i);
+      TaggedEntry entry;
+      if (inline_refs && refs.size() == 1) {
+        entry = MakeOneRef(refs[0]);
+      } else if (inline_refs && refs.size() == 2) {
+        entry = MakeTwoRefs(refs[0], refs[1]);
+      } else {
+        entry = MakeTableOffset(ref.AddList(refs));
+      }
+      want_cells.emplace_back(sc.cell(i), entry);
+    }
+    EncodedCovering got = Encode(sc, inline_refs);
+    EXPECT_EQ(got.cells, want_cells);
+    EXPECT_TRUE(std::ranges::equal(got.table.words(), ref.words));
+
+    // Walk the table entry by entry: each is n_true, true hits, n_cand,
+    // candidates, and no entry may repeat an earlier one.
+    const std::span<const uint32_t> w = got.table.words();
+    std::set<std::vector<uint32_t>> seen;
+    size_t off = 0;
+    while (off < w.size()) {
+      const size_t n_true = w[off];
+      ASSERT_LT(off + 1 + n_true, w.size());
+      const size_t len = n_true + w[off + 1 + n_true] + 2;
+      ASSERT_LE(off + len, w.size());
+      EXPECT_TRUE(seen.emplace(w.begin() + off, w.begin() + off + len).second)
+          << "list at offset " << off << " is stored twice";
+      off += len;
+    }
+    EXPECT_EQ(off, w.size());
+  }
+}
+
+SuperCovering DatasetCovering(const std::vector<geom::Polygon>& polygons,
+                              std::optional<double> precision_bound_m) {
+  Grid grid;
+  PolygonClassifier classifier(polygons, grid);
+  BuildOptions opts;
+  opts.precision_bound_m = precision_bound_m;
+  return BuildSuperCovering(polygons, grid, classifier, opts, nullptr);
+}
+
+// Random sorted, disjoint cells, each with 1..6 references drawn from a
+// few polygon ids: many lists repeat (in any order), so dedup is busy.
+SuperCovering RandomCovering(uint64_t seed, int n_cells) {
+  Grid grid;
+  Rng rng(seed);
+  std::set<CellId> cells;
+  while (cells.size() < static_cast<size_t>(n_cells)) {
+    cells.insert(grid.CellAt({rng.Uniform(-80, 80), rng.Uniform(-170, 170)},
+                             20));
+  }
+  std::vector<RefList> refs;
+  for (size_t i = 0; i < cells.size(); ++i) {
+    RefList list;
+    const int n = 1 + static_cast<int>(rng.UniformInt(6));
+    for (int k = 0; k < n; ++k) {
+      MergeRef(&list, {static_cast<uint32_t>(rng.UniformInt(12)),
+                       rng.UniformInt(2) == 0});
+    }
+    refs.push_back(list);
+  }
+  return SuperCovering({cells.begin(), cells.end()}, refs);
+}
+
+TEST(SuperCoveringLayout, PackedListsEqualTheFlatBuild) {
+  SuperCovering built = DatasetCovering(wl::Neighborhoods(0.2).polygons, {});
+  ASSERT_GT(built.size(), 100u);
+  std::vector<RefList> lists;
+  size_t n_refs = 0;
+  for (size_t i = 0; i < built.size(); ++i) {
+    lists.emplace_back(built.refs(i));
+    n_refs += built.refs(i).size();
+    // One flat array: each list starts where the previous one ended.
+    if (i > 0) {
+      EXPECT_EQ(built.refs(i).data(),
+                built.refs(i - 1).data() + built.refs(i - 1).size());
+    }
+  }
+  EXPECT_EQ(built.num_refs(), n_refs);
+  SuperCovering packed(built.cells(), lists);
+  EXPECT_TRUE(packed == built);
+  EXPECT_TRUE(SuperCovering() == SuperCovering({}, {}));
+}
+
+TEST(Encode, MatchesReferenceOnCensus) {
+  ExpectEncodeMatchesReference(
+      DatasetCovering(wl::Census(0.25).polygons, {}));
+}
+
+TEST(Encode, MatchesReferenceOnNeighborhoods) {
+  ExpectEncodeMatchesReference(
+      DatasetCovering(wl::Neighborhoods().polygons, {}));
+}
+
+TEST(Encode, MatchesReferenceOnPrecisionBoundCovering) {
+  ExpectEncodeMatchesReference(
+      DatasetCovering(wl::Neighborhoods(0.1).polygons, 60.0));
+}
+
+TEST(Encode, MatchesReferenceOnRandomCoverings) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    ExpectEncodeMatchesReference(RandomCovering(seed, 20000));
+  }
 }
 
 }  // namespace

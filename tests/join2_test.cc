@@ -273,6 +273,51 @@ TEST(Join2CrossMatch, IntervalViewIsSortedAndDisjoint) {
   }
 }
 
+TEST(Join2CrossMatch, DatasetStraddlingAShardBoundaryMatchesOracle) {
+  // The NYC fixtures above sit inside one shard at every shard count, so
+  // this one is laid over the cell around the first leaf of shard 1 of a
+  // 3-shard index: its polygons are indexed by both shards, and FromIndex
+  // must stitch their clipped halves together in order.
+  constexpr int kShards = 3;
+  Grid grid;
+  const ShardedIndex probe =
+      ShardedIndex::Build(Partition(2, 2, 5), grid, Sharding(kShards));
+  const uint64_t boundary = probe.ShardRange(1).first;
+  const geo::LatLngRect rect =
+      grid.CellRect(geo::CellId(boundary | 1).parent(8));
+  auto partition = [&](uint64_t seed) {
+    return wl::JitteredPartition(
+        {.mbr = geom::Rect::Of(rect.lng_lo, rect.lat_lo, rect.lng_hi,
+                               rect.lat_hi),
+         .nx = 6,
+         .ny = 6,
+         .edge_depth = 2,
+         .seed = seed,
+         .overlap_dilation = 0.3});
+  };
+  const std::vector<geom::Polygon> pa = partition(211);
+  const std::vector<geom::Polygon> pb = partition(212);
+  const ShardedIndex ia = ShardedIndex::Build(pa, grid, Sharding(kShards));
+  const ShardedIndex ib = ShardedIndex::Build(pb, grid, Sharding(kShards));
+  for (const ShardedIndex* index : {&ia, &ib}) {
+    int non_empty = 0;
+    for (int s = 0; s < index->num_shards(); ++s) {
+      non_empty += index->shard_index(s) != nullptr ? 1 : 0;
+    }
+    EXPECT_GE(non_empty, 2);
+    IntervalView view = IntervalView::FromIndex(*index, 0);
+    for (size_t i = 1; i < view.size(); ++i) {
+      EXPECT_LT(view.interval(i - 1).hi, view.interval(i).lo);
+    }
+  }
+  for (CrossMatchMode mode :
+       {CrossMatchMode::kIntersects, CrossMatchMode::kContains}) {
+    EXPECT_EQ(CrossMatchIndexes(ia, ib, {.mode = mode, .threads = 2}),
+              BruteForceCrossMatch(pa, pb, mode))
+        << ToString(mode);
+  }
+}
+
 // --- The shared ordering contract (see act::ExecuteJoinPairs) --------------
 
 TEST(Join2OrderingContract, AllPairProducersSortedUnique) {

@@ -13,10 +13,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -129,7 +131,8 @@ void ExpectIndexesEquivalent(const PolygonIndex& a, const PolygonIndex& b,
     int64_t ib = b.covering().FindContaining(geo::CellId(leaf));
     ASSERT_EQ(ia >= 0, ib >= 0);
     if (ia >= 0) {
-      ASSERT_TRUE(a.covering().refs(ia) == b.covering().refs(ib));
+      ASSERT_TRUE(std::ranges::equal(a.covering().refs(ia),
+                                     b.covering().refs(ib)));
     }
   }
 }
@@ -288,6 +291,42 @@ TEST(Serialization, FileHasThreeCrcFramedSections) {
     EXPECT_EQ(ReadLe(bytes, s.crc_off, 4),
               util::Crc32c(bytes.data() + s.payload_off, s.payload_len));
   }
+  std::remove(path.c_str());
+}
+
+TEST(Serialization, CoveringSectionIsTheDocumentedLayout) {
+  // Covering payload: u64 n_cells, then per cell u64 id | u32 n_refs |
+  // n_refs x u32 (polygon_id << 1 | interior), little-endian. Rebuilt
+  // here from the loaded covering, it must match the file byte for byte,
+  // and the load must reproduce the saved covering exactly.
+  std::string path = TmpPath("layout.actj");
+  std::string bytes = SerializedIndexBytes(path);
+  std::vector<SectionLoc> sections = LocateSections(bytes);
+  ASSERT_EQ(sections.size(), 3u);
+  std::optional<PolygonIndex> loaded = LoadIndex(path);
+  ASSERT_TRUE(loaded.has_value());
+  const SuperCovering& sc = loaded->covering();
+  std::string want;
+  auto put = [&](uint64_t v, int width) {
+    for (int i = 0; i < width; ++i) {
+      want.push_back(static_cast<char>(v >> (8 * i)));
+    }
+  };
+  put(sc.size(), 8);
+  for (size_t i = 0; i < sc.size(); ++i) {
+    put(sc.cell(i).id(), 8);
+    put(sc.refs(i).size(), 4);
+    for (const PolygonRef& r : sc.refs(i)) put(r.Encode(), 4);
+  }
+  EXPECT_EQ(bytes.substr(sections[2].payload_off, sections[2].payload_len),
+            want);
+
+  Grid grid;
+  BuildOptions opts;
+  opts.threads = 1;
+  EXPECT_TRUE(
+      PolygonIndex::Build(wl::Neighborhoods(0.03).polygons, grid, opts)
+          .covering() == sc);
   std::remove(path.c_str());
 }
 

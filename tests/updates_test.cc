@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -311,7 +312,7 @@ SuperCovering OracleDelta(const PolygonIndex& base,
                             classifier);
   }
   for (size_t i = 0; i < out.size(); ++i) {
-    const RefList& r = out.refs(i);
+    const std::span<const PolygonRef> r = out.refs(i);
     if (std::any_of(r.begin(), r.end(), [&](const PolygonRef& ref) {
           return ref.polygon_id >= first_id;
         })) {
@@ -338,7 +339,7 @@ PolygonIndex CheckDelta(const PolygonIndex& base,
   EXPECT_EQ(next.covering().cells(), want.cells());
   for (size_t i = 0; i < std::min(want.size(), next.covering().size());
        ++i) {
-    if (!(next.covering().refs(i) == want.refs(i))) {
+    if (!std::ranges::equal(next.covering().refs(i), want.refs(i))) {
       ADD_FAILURE() << "reference lists differ at cell " << i;
       break;
     }
