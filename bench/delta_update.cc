@@ -16,8 +16,8 @@
 //
 // A served-shape pair of rows times what one wire frame costs: a 1-polygon
 // REMOVE and a 4-polygon ADD against a standing census index, each against
-// the full census rebuild, and splits each apply into its covering pass,
-// Encode and trie build.
+// the full census rebuild, and splits each apply into its edge-grid
+// builds, covering pass, Encode and trie build.
 //
 // --smoke appends `delta_update_apply` / `delta_update_rebuild` /
 // `delta_update_remove1` / `delta_update_add4` lines to bench_smoke.json
@@ -51,9 +51,10 @@ bool SameJoin(const act::JoinStats& a, const act::JoinStats& b) {
 /// Where one ApplyDelta spent its time, summed over the shards it
 /// re-derived (untouched shards are shared with the base snapshot).
 struct DeltaSplit {
-  double pass_s = 0;    // added coverings + the pass writing the covering
-  double encode_s = 0;  // Encode over the whole shard
-  double trie_s = 0;    // trie build over the whole shard
+  double classifier_s = 0;  // edge grids of the added polygons only
+  double pass_s = 0;        // added coverings + the pass writing the covering
+  double encode_s = 0;      // Encode over the whole shard
+  double trie_s = 0;        // trie build over the whole shard
 };
 
 DeltaSplit SplitOf(const service::ShardedIndex& base,
@@ -62,6 +63,7 @@ DeltaSplit SplitOf(const service::ShardedIndex& base,
   for (int s = 0; s < next.num_shards(); ++s) {
     const act::PolygonIndex* shard = next.shard_index(s);
     if (shard == nullptr || shard == base.shard_index(s)) continue;
+    out.classifier_s += shard->timings().classifier_s;
     out.pass_s += shard->timings().delta_pass_s;
     out.encode_s += shard->timings().encode_s;
     out.trie_s += shard->timings().trie_build_s;
@@ -315,11 +317,13 @@ int Run(int argc, char** argv) {
   }
   Emit(env, table);
   // The served rows' apply time by phase: what the next cut has to go
-  // after. The remainder is classifier rebuild and the polygon copy.
+  // after. The remainder is the polygon copy of an ADD and the routing.
   for (const ServedRow& row : served) {
-    std::printf("%s apply split: pass %.2f ms, encode %.2f ms, trie %.2f ms\n",
-                row.label, row.split.pass_s * 1e3, row.split.encode_s * 1e3,
-                row.split.trie_s * 1e3);
+    std::printf(
+        "%s apply split: classifier %.2f ms, pass %.2f ms, encode %.2f ms, "
+        "trie %.2f ms\n",
+        row.label, row.split.classifier_s * 1e3, row.split.pass_s * 1e3,
+        row.split.encode_s * 1e3, row.split.trie_s * 1e3);
   }
   std::printf("\n");
   store.GarbageCollect();

@@ -164,7 +164,7 @@ void BM_EdgeGridClassify(benchmark::State& state) {
     double x = rng.Uniform(-1, 0.9);
     double y = rng.Uniform(-1, 0.9);
     benchmark::DoNotOptimize(
-        grid.Classify(geom::Rect::Of(x, y, x + 0.05, y + 0.05)));
+        grid.Classify(poly, geom::Rect::Of(x, y, x + 0.05, y + 0.05)));
   }
 }
 BENCHMARK(BM_EdgeGridClassify);

@@ -23,6 +23,7 @@
 #define ACTJOIN_ACT_ACT_H_
 
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -54,8 +55,13 @@ struct ActStats {
 
 class AdaptiveCellTrie {
  public:
-  /// Builds from a sorted, disjoint encoded covering. The lookup table
-  /// stays in `enc`; the trie stores offsets into it.
+  /// Builds from a sorted, disjoint encoded covering (aborts otherwise).
+  /// The lookup table stays in `enc`; the trie stores offsets into it.
+  /// Walks the cells in order: each cell reuses the node path of the cell
+  /// before it down to their common key prefix and appends the nodes
+  /// below, so nodes come out in preorder. A first walk only counts them;
+  /// the second lays them out in one array sized exactly for them and
+  /// gathers the stats on the way.
   AdaptiveCellTrie(const EncodedCovering& enc, const ActOptions& opts);
 
   AdaptiveCellTrie(const AdaptiveCellTrie&) = delete;
@@ -101,19 +107,18 @@ class AdaptiveCellTrie {
     int prefix_bits = 0;
   };
 
-  TaggedEntry* NewNode();
-  void InsertCell(const geo::CellId& cell, TaggedEntry value, Face* face);
-  void ComputeStats();
-  void WalkStats(const TaggedEntry* node, int depth,
-                 std::vector<uint64_t>* slots_by_depth,
-                 std::vector<uint64_t>* used_by_depth);
+  /// The build pass; returns the node count. Without `fill` it only
+  /// counts; with it, it writes the nodes into `nodes` (zeroed, sized for
+  /// that count) in preorder, sets the face roots, and fills stats_.
+  uint64_t LayOut(const EncodedCovering& enc, bool fill, TaggedEntry* nodes);
 
   ActOptions opts_;
   int bits_per_level_;
   uint64_t slot_mask_;
   int fanout_;
   Face faces_[geo::CellId::kNumFaces];
-  std::vector<std::unique_ptr<TaggedEntry[]>> arena_;
+  // Backs the node array (calloc'd, over-allocated for alignment).
+  std::unique_ptr<void, void (*)(void*)> storage_{nullptr, &std::free};
   ActStats stats_;
 };
 

@@ -100,7 +100,9 @@ JoinStats ExecuteJoin(const Index& index, const LookupTable& table,
   const bool exact = opts.mode == JoinMode::kExact;
   const uint64_t n = input.size();
 
-  struct ThreadState {
+  // One cache line (at least) per worker: the counters are bumped per
+  // probe, and neighbouring states must not share a line.
+  struct alignas(64) ThreadState {
     std::vector<uint64_t> counts;
     uint64_t matched = 0, pairs = 0, true_refs = 0, cand_refs = 0;
     uint64_t pip_tests = 0, pip_hits = 0, sth = 0;

@@ -15,7 +15,8 @@ int ThreadBudget(const BuildOptions& opts) {
 
 // Boundary and interior coverings of polygons [first, first + count), in
 // parallel over polygons; slot i holds polygon first + i.
-void ComputeCoverings(const PolygonClassifier& classifier,
+void ComputeCoverings(const std::vector<geom::Polygon>& polygons,
+                      const PolygonClassifier& classifier,
                       const geo::Grid& grid, const BuildOptions& opts,
                       uint32_t first, uint32_t count,
                       std::vector<std::vector<geo::CellId>>* coverings,
@@ -29,10 +30,11 @@ void ComputeCoverings(const PolygonClassifier& classifier,
   util::ParallelFor(count, ThreadBudget(opts), /*batch=*/1,
                     [&](uint64_t begin, uint64_t end, int) {
                       for (uint64_t i = begin; i < end; ++i) {
-                        cover::Coverer coverer(
-                            classifier.edge_grid(
-                                first + static_cast<uint32_t>(i)),
-                            grid);
+                        const uint32_t pid =
+                            first + static_cast<uint32_t>(i);
+                        cover::Coverer coverer(polygons[pid],
+                                               classifier.edge_grid(pid),
+                                               grid);
                         (*coverings)[i] = coverer.Covering(cover_opts);
                         (*interiors)[i] =
                             coverer.InteriorCovering(interior_opts);
@@ -73,7 +75,7 @@ SuperCovering BuildSuperCovering(const std::vector<geom::Polygon>& polygons,
   // over the number of polygons").
   util::WallTimer timer;
   std::vector<std::vector<geo::CellId>> coverings, interiors;
-  ComputeCoverings(classifier, grid, opts, 0,
+  ComputeCoverings(polygons, classifier, grid, opts, 0,
                    static_cast<uint32_t>(polygons.size()), &coverings,
                    &interiors);
   if (timings != nullptr) {
@@ -107,10 +109,11 @@ PolygonIndex PolygonIndex::Build(const std::vector<geom::Polygon>& polygons,
                                  const geo::Grid& grid,
                                  const BuildOptions& opts) {
   PolygonIndex index(grid);
-  index.polygons_ = polygons;
+  index.polygons_ =
+      std::make_shared<const std::vector<geom::Polygon>>(polygons);
   index.opts_ = opts;
-  index.RebuildClassifier();
-  index.covering_ = BuildSuperCovering(index.polygons_, index.grid_,
+  index.BuildClassifier(nullptr);
+  index.covering_ = BuildSuperCovering(*index.polygons_, index.grid_,
                                        *index.classifier_, opts,
                                        &index.timings_);
   index.Reencode();
@@ -122,29 +125,37 @@ PolygonIndex PolygonIndex::FromComponents(std::vector<geom::Polygon> polygons,
                                           const BuildOptions& opts,
                                           SuperCovering covering) {
   PolygonIndex index(grid);
-  index.polygons_ = std::move(polygons);
+  index.polygons_ =
+      std::make_shared<const std::vector<geom::Polygon>>(std::move(polygons));
   index.opts_ = opts;
   index.covering_ = std::move(covering);
-  index.RebuildClassifier();
+  index.BuildClassifier(nullptr);
   index.Reencode();
   return index;
 }
 
-void PolygonIndex::RebuildClassifier() {
-  classifier_ = std::make_unique<PolygonClassifier>(polygons_, grid_,
-                                                    ThreadBudget(opts_));
+void PolygonIndex::BuildClassifier(const PolygonClassifier* base) {
+  util::WallTimer timer;
+  classifier_ =
+      base == nullptr
+          ? std::make_shared<const PolygonClassifier>(*polygons_, grid_,
+                                                      ThreadBudget(opts_))
+          : std::make_shared<const PolygonClassifier>(*polygons_, *base,
+                                                      ThreadBudget(opts_));
+  timings_.classifier_s = timer.ElapsedSeconds();
 }
 
 PolygonIndex PolygonIndex::WithDelta(
     std::span<const uint32_t> removed_ids,
     std::span<const geom::Polygon> added,
     std::vector<std::pair<uint64_t, uint64_t>>* touched_ranges) const {
-  const uint32_t first_id = static_cast<uint32_t>(polygons_.size());
-  ACT_CHECK_MSG(polygons_.size() + added.size() <= kMaxPolygonId + uint64_t{1},
-                "polygon ids are limited to 30 bits");
-  std::vector<bool> removed(polygons_.size(), false);
+  const uint32_t first_id = static_cast<uint32_t>(polygons_->size());
+  ACT_CHECK_MSG(
+      polygons_->size() + added.size() <= kMaxPolygonId + uint64_t{1},
+      "polygon ids are limited to 30 bits");
+  std::vector<bool> removed(polygons_->size(), false);
   for (uint32_t pid : removed_ids) {
-    ACT_CHECK(pid < polygons_.size());
+    ACT_CHECK(pid < polygons_->size());
     removed[pid] = true;
   }
   auto touch = [&](const geo::CellId& cell) {
@@ -157,19 +168,27 @@ PolygonIndex PolygonIndex::WithDelta(
   PolygonIndex next(grid_);
   next.opts_ = opts_;
   next.timings_ = timings_;  // build-phase timings; Reencode refreshes its own
-  next.polygons_.reserve(polygons_.size() + added.size());
-  next.polygons_.insert(next.polygons_.end(), polygons_.begin(),
-                        polygons_.end());
-  next.polygons_.insert(next.polygons_.end(), added.begin(), added.end());
-  next.RebuildClassifier();
+  if (added.empty()) {
+    // Removed polygons keep their slots, so the set is unchanged.
+    next.polygons_ = polygons_;
+    next.classifier_ = classifier_;
+    next.timings_.classifier_s = 0;
+  } else {
+    auto polygons = std::make_shared<std::vector<geom::Polygon>>();
+    polygons->reserve(polygons_->size() + added.size());
+    polygons->insert(polygons->end(), polygons_->begin(), polygons_->end());
+    polygons->insert(polygons->end(), added.begin(), added.end());
+    next.polygons_ = std::move(polygons);
+    next.BuildClassifier(classifier_.get());
+  }
 
   // Coverings for the added polygons only, and the sorted, coalesced union
   // of their cells' leaf ranges: the only region the inserts can change.
   util::WallTimer timer;
   const uint32_t n_added = static_cast<uint32_t>(added.size());
   std::vector<std::vector<geo::CellId>> coverings, interiors;
-  ComputeCoverings(*next.classifier_, grid_, opts_, first_id, n_added,
-                   &coverings, &interiors);
+  ComputeCoverings(*next.polygons_, *next.classifier_, grid_, opts_,
+                   first_id, n_added, &coverings, &interiors);
   std::vector<std::pair<uint64_t, uint64_t>> region;
   for (const auto* lists : {&coverings, &interiors}) {
     for (const std::vector<geo::CellId>& list : *lists) {
@@ -271,7 +290,7 @@ PolygonIndex PolygonIndex::WithDelta(
 
 uint32_t PolygonIndex::AddPolygons(
     std::span<const geom::Polygon> new_polygons) {
-  const uint32_t first_id = static_cast<uint32_t>(polygons_.size());
+  const uint32_t first_id = static_cast<uint32_t>(polygons_->size());
   *this = WithDelta({}, new_polygons);
   return first_id;
 }

@@ -53,10 +53,15 @@ struct BuildTimings {
   /// WithDelta only: the added polygons' coverings plus the pass that
   /// writes the successor covering (encode and trie build are above).
   double delta_pass_s = 0;
+  /// Building edge grids: every polygon's for Build and FromComponents,
+  /// only the added ones' for WithDelta (0 for a remove-only delta).
+  double classifier_s = 0;
 };
 
 /// A fully built polygon index. Owns a copy of the polygons, so the index
-/// can outlive (and extend) the input set.
+/// can outlive (and extend) the input set. The polygon vector and the
+/// classifier's edge grids are immutable and shared with the snapshots
+/// WithDelta derives (see there).
 class PolygonIndex {
  public:
   static PolygonIndex Build(const std::vector<geom::Polygon>& polygons,
@@ -82,7 +87,7 @@ class PolygonIndex {
   /// with the original. Not the mutation path: WithDelta derives a
   /// successor without encoding twice.
   PolygonIndex Clone() const {
-    return FromComponents(polygons_, grid_, opts_, covering_);
+    return FromComponents(*polygons_, grid_, opts_, covering_);
   }
 
   /// Clone() boxed for the snapshot registry (see service/index_registry.h).
@@ -108,6 +113,13 @@ class PolygonIndex {
   /// and trie build over the whole set; covering work is proportional to
   /// the added polygons and the cells they meet.
   ///
+  /// Polygons and edge grids are shared, never rebuilt: a remove-only
+  /// delta shares this index's polygon vector and classifier (removed
+  /// polygons keep their slots); an add copies the polygon vector, appends
+  /// the added polygons, and builds edge grids for those only, sharing
+  /// every other grid. The successor never references this index's
+  /// polygon vector unless it shares it outright.
+  ///
   /// A non-null `touched_ranges` receives (unsorted, possibly overlapping)
   /// leaf-id intervals [first, last] of every base cell that lost a removed
   /// reference and every successor cell carrying an added reference —
@@ -128,19 +140,25 @@ class PolygonIndex {
   void RemovePolygons(std::span<const uint32_t> polygon_ids);
 
   JoinStats Join(const JoinInput& points, const JoinOptions& opts) const {
-    return ExecuteJoin(*trie_, encoded_.table, points, polygons_, opts);
+    return ExecuteJoin(*trie_, encoded_.table, points, *polygons_, opts);
   }
 
   std::vector<std::pair<uint64_t, uint32_t>> JoinPairs(const JoinInput& points,
                                                        JoinMode mode) const {
-    return ExecuteJoinPairs(*trie_, encoded_.table, points, polygons_, mode);
+    return ExecuteJoinPairs(*trie_, encoded_.table, points, *polygons_,
+                            mode);
   }
 
   const AdaptiveCellTrie& trie() const { return *trie_; }
   const SuperCovering& covering() const { return covering_; }
   const EncodedCovering& encoded() const { return encoded_; }
   const PolygonClassifier& classifier() const { return *classifier_; }
-  const std::vector<geom::Polygon>& polygons() const { return polygons_; }
+  const std::vector<geom::Polygon>& polygons() const { return *polygons_; }
+  /// The polygon vector itself, as shared between snapshots.
+  const std::shared_ptr<const std::vector<geom::Polygon>>& shared_polygons()
+      const {
+    return polygons_;
+  }
   const geo::Grid& grid() const { return grid_; }
   const BuildOptions& options() const { return opts_; }
   const BuildTimings& timings() const { return timings_; }
@@ -153,13 +171,15 @@ class PolygonIndex {
  private:
   explicit PolygonIndex(const geo::Grid& grid) : grid_(grid) {}
 
-  void RebuildClassifier();
+  /// Builds the classifier over polygons_; with a base, derives it from
+  /// the base's (sharing the grids of the polygons the two have in common).
+  void BuildClassifier(const PolygonClassifier* base);
   void Reencode();
 
-  std::vector<geom::Polygon> polygons_;
+  std::shared_ptr<const std::vector<geom::Polygon>> polygons_;
   geo::Grid grid_;
   BuildOptions opts_;
-  std::unique_ptr<PolygonClassifier> classifier_;
+  std::shared_ptr<const PolygonClassifier> classifier_;
   SuperCovering covering_;
   EncodedCovering encoded_;
   std::unique_ptr<AdaptiveCellTrie> trie_;

@@ -42,11 +42,12 @@ Coverer::Coverer(const geom::Polygon& poly, const geo::Grid& grid)
       owned_edges_(std::make_unique<geom::EdgeGrid>(poly)),
       edges_(owned_edges_.get()) {}
 
-Coverer::Coverer(const geom::EdgeGrid& edges, const geo::Grid& grid)
-    : poly_(&edges.polygon()), grid_(&grid), edges_(&edges) {}
+Coverer::Coverer(const geom::Polygon& poly, const geom::EdgeGrid& edges,
+                 const geo::Grid& grid)
+    : poly_(&poly), grid_(&grid), edges_(&edges) {}
 
 RegionRelation Coverer::Classify(const CellId& cell) const {
-  return edges_->Classify(ToGeomRect(grid_->CellRect(cell)));
+  return edges_->Classify(*poly_, ToGeomRect(grid_->CellRect(cell)));
 }
 
 std::vector<CellId> Coverer::SeedCells(int max_level) const {

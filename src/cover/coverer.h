@@ -37,8 +37,10 @@ class Coverer {
   /// Builds and owns an edge grid for the polygon.
   Coverer(const geom::Polygon& poly, const geo::Grid& grid);
 
-  /// Reuses an externally owned edge grid (must outlive the coverer).
-  Coverer(const geom::EdgeGrid& edges, const geo::Grid& grid);
+  /// Reuses an externally owned edge grid built for `poly` (both must
+  /// outlive the coverer).
+  Coverer(const geom::Polygon& poly, const geom::EdgeGrid& edges,
+          const geo::Grid& grid);
 
   /// Cells whose union contains the polygon. Result is normalized (sorted,
   /// disjoint) and respects opts.max_cells / max_level.
@@ -50,8 +52,6 @@ class Coverer {
 
   /// Relation of one cell to the polygon, via the edge-grid accelerator.
   geom::RegionRelation Classify(const geo::CellId& cell) const;
-
-  const geom::EdgeGrid& edge_grid() const { return *edges_; }
 
  private:
   /// Seed cells: the smallest single cell (at most max_level) containing

@@ -8,7 +8,7 @@
 
 namespace actjoin::geom {
 
-EdgeGrid::EdgeGrid(const Polygon& poly, int resolution) : poly_(&poly) {
+EdgeGrid::EdgeGrid(const Polygon& poly, int resolution) {
   bounds_ = poly.mbr();
   // Pad the bounds slightly so boundary vertices fall strictly inside and
   // bucket indexing never sees coordinates on the outer edge.
@@ -84,12 +84,12 @@ const EdgeGrid::Bucket& EdgeGrid::BucketAt(const Point& p) const {
   return buckets_[static_cast<size_t>(BucketY(p.y)) * nx_ + BucketX(p.x)];
 }
 
-int EdgeGrid::CountCrossings(const Bucket& b, const Point& a, const Point& p,
-                             bool* ok) const {
+int EdgeGrid::CountCrossings(const Polygon& poly, const Bucket& b,
+                             const Point& a, const Point& p, bool* ok) {
   *ok = true;
   int crossings = 0;
   for (uint32_t e : b.edges) {
-    auto [u, v] = poly_->Edge(e);
+    auto [u, v] = poly.Edge(e);
     if (SegmentsCrossProperly(a, p, u, v)) {
       ++crossings;
       continue;
@@ -103,23 +103,23 @@ int EdgeGrid::CountCrossings(const Bucket& b, const Point& a, const Point& p,
   return crossings;
 }
 
-bool EdgeGrid::ContainsPoint(const Point& p) const {
-  if (!poly_->mbr().Contains(p)) return false;
+bool EdgeGrid::ContainsPoint(const Polygon& poly, const Point& p) const {
+  if (!poly.mbr().Contains(p)) return false;
   const Bucket& b = BucketAt(p);
   if (b.edges.empty()) return b.center_inside;
   // Boundary points are covered under ST_Covers.
   for (uint32_t e : b.edges) {
-    auto [u, v] = poly_->Edge(e);
+    auto [u, v] = poly.Edge(e);
     if (OnSegment(u, v, p)) return true;
   }
   bool ok = false;
-  int crossings = CountCrossings(b, b.center, p, &ok);
-  if (!ok) return geom::ContainsPoint(*poly_, p);  // rare degenerate case
+  int crossings = CountCrossings(poly, b, b.center, p, &ok);
+  if (!ok) return geom::ContainsPoint(poly, p);  // rare degenerate case
   return b.center_inside == ((crossings & 1) == 0);
 }
 
-RegionRelation EdgeGrid::Classify(const Rect& rect) const {
-  if (!poly_->mbr().Intersects(rect)) return RegionRelation::kDisjoint;
+RegionRelation EdgeGrid::Classify(const Polygon& poly, const Rect& rect) const {
+  if (!poly.mbr().Intersects(rect)) return RegionRelation::kDisjoint;
   int x0 = BucketX(rect.lo.x);
   int x1 = BucketX(rect.hi.x);
   int y0 = BucketY(rect.lo.y);
@@ -128,7 +128,7 @@ RegionRelation EdgeGrid::Classify(const Rect& rect) const {
     for (int x = x0; x <= x1; ++x) {
       const Bucket& b = buckets_[static_cast<size_t>(y) * nx_ + x];
       for (uint32_t e : b.edges) {
-        auto [u, v] = poly_->Edge(e);
+        auto [u, v] = poly.Edge(e);
         if (SegmentIntersectsRect(u, v, rect)) {
           return RegionRelation::kIntersects;
         }
@@ -136,7 +136,7 @@ RegionRelation EdgeGrid::Classify(const Rect& rect) const {
     }
   }
   // The rect touches no edge: uniformly inside or outside.
-  return ContainsPoint(rect.Center()) ? RegionRelation::kContained
+  return ContainsPoint(poly, rect.Center()) ? RegionRelation::kContained
                                       : RegionRelation::kDisjoint;
 }
 

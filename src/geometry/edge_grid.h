@@ -12,6 +12,10 @@
 // Join-time refinement deliberately does NOT use this class: the paper's
 // exact join performs the classic O(edges) PIP test, and the benchmarks must
 // preserve that cost model.
+//
+// The grid holds no reference to its polygon: queries take the polygon it
+// was built for. That lets index snapshots share one immutable grid per
+// polygon even when each snapshot keeps its own copy of the polygon set.
 
 #ifndef ACTJOIN_GEOMETRY_EDGE_GRID_H_
 #define ACTJOIN_GEOMETRY_EDGE_GRID_H_
@@ -30,13 +34,13 @@ class EdgeGrid {
   /// bucket per edge (clamped to [1, 256] per axis).
   explicit EdgeGrid(const Polygon& poly, int resolution = 0);
 
-  const Polygon& polygon() const { return *poly_; }
+  /// Equivalent to geom::ContainsPoint(poly, p) but O(edges per bucket).
+  /// `poly` must be (a copy of) the polygon the grid was built from.
+  bool ContainsPoint(const Polygon& poly, const Point& p) const;
 
-  /// Equivalent to geom::ContainsPoint but O(edges per bucket).
-  bool ContainsPoint(const Point& p) const;
-
-  /// Equivalent to geom::Classify but examining only nearby edges.
-  RegionRelation Classify(const Rect& rect) const;
+  /// Equivalent to geom::Classify(poly, rect) but examining only nearby
+  /// edges. Same precondition on `poly` as ContainsPoint.
+  RegionRelation Classify(const Polygon& poly, const Rect& rect) const;
 
   /// Total number of (edge, bucket) incidences; exposed for tests.
   size_t IncidenceCount() const;
@@ -55,10 +59,9 @@ class EdgeGrid {
   // Counts proper crossings of segment [a, b] with the bucket's edges;
   // returns false in *ok if a degenerate configuration (touching a vertex or
   // collinear overlap) makes the parity unreliable.
-  int CountCrossings(const Bucket& b, const Point& a, const Point& p,
-                     bool* ok) const;
+  static int CountCrossings(const Polygon& poly, const Bucket& b,
+                            const Point& a, const Point& p, bool* ok);
 
-  const Polygon* poly_;
   Rect bounds_;
   int nx_ = 1, ny_ = 1;
   double inv_w_ = 0, inv_h_ = 0;

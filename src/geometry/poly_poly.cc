@@ -9,7 +9,8 @@ namespace {
 
 inline bool Covered(const Polygon& poly, const EdgeGrid* grid,
                     const Point& p) {
-  return grid != nullptr ? grid->ContainsPoint(p) : ContainsPoint(poly, p);
+  return grid != nullptr ? grid->ContainsPoint(poly, p)
+                         : ContainsPoint(poly, p);
 }
 
 inline Point Midpoint(const Point& a, const Point& b) {

@@ -363,7 +363,7 @@ TEST(RefineToPrecision, BoundaryCellsMeetBound) {
   cover::CovererOptions copts{64, 30, 0};
   cover::CovererOptions iopts{128, 16, 0};
   for (uint32_t pid = 0; pid < polys.size(); ++pid) {
-    cover::Coverer coverer(classifier.edge_grid(pid), grid);
+    cover::Coverer coverer(polys[pid], classifier.edge_grid(pid), grid);
     b.AddCovering(coverer.Covering(copts), pid, false);
     b.AddCovering(coverer.InteriorCovering(iopts), pid, true);
   }

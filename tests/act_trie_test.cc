@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "act/act.h"
@@ -17,6 +20,7 @@
 #include "act/pipeline.h"
 #include "act/super_covering.h"
 #include "geo/grid.h"
+#include "util/bitops.h"
 #include "util/random.h"
 #include "workloads/datasets.h"
 #include "workloads/polygon_gen.h"
@@ -326,6 +330,251 @@ TEST(Trie, PrecisionBoundPipeline) {
   }
   EXPECT_GT(index.timings().refine_s, 0.0);
   EXPECT_GT(index.MemoryBytes(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+
+// The per-cell trie builder the ACT used before its sorted single-pass
+// build, kept only as this file's oracle: every cell walks down from its
+// face root, allocating each missing node on its own, and the stats come
+// from a recursive walk over the finished tree.
+class ReferenceTrie {
+ public:
+  ReferenceTrie(const EncodedCovering& enc, const ActOptions& opts)
+      : bits_(opts.bits_per_level),
+        fanout_(1 << opts.bits_per_level),
+        mask_(static_cast<uint64_t>(fanout_ - 1)) {
+    size_t n = enc.cells.size();
+    size_t i = 0;
+    while (i < n) {
+      int f = enc.cells[i].first.face();
+      size_t j = i;
+      while (j < n && enc.cells[j].first.face() == f) ++j;
+      Face& face = faces_[f];
+      if (opts.use_root_prefix) {
+        int len_first = 0, len_last = 0;
+        uint64_t key_first = enc.cells[i].first.PathKey(&len_first);
+        uint64_t key_last = enc.cells[j - 1].first.PathKey(&len_last);
+        int cpl = (j - i == 1)
+                      ? len_first
+                      : util::CommonPrefixLength(key_first, key_last);
+        face.prefix_bits = (cpl / bits_) * bits_;
+        face.prefix =
+            face.prefix_bits == 0 ? 0 : (key_first >> (64 - face.prefix_bits));
+      }
+      for (size_t k = i; k < j; ++k) {
+        InsertCell(enc.cells[k].first, enc.cells[k].second, &face);
+      }
+      i = j;
+    }
+    ComputeStats();
+  }
+
+  TaggedEntry ProbeCounting(uint64_t leaf_cell_id, int* depth) const {
+    *depth = 0;
+    const Face& face = faces_[leaf_cell_id >> CellId::kPosBits];
+    uint64_t key = (leaf_cell_id << CellId::kFaceBits) & ~uint64_t{15};
+    int offset = face.prefix_bits;
+    if (offset > 0 && (key >> (64 - offset)) != face.prefix) {
+      return kSentinelEntry;
+    }
+    TaggedEntry entry = face.root;
+    while (entry != kSentinelEntry && !IsValue(entry)) {
+      ++*depth;
+      uint64_t chunk = (key >> (64 - offset - bits_)) & mask_;
+      entry = PointerOf(entry)[chunk];
+      offset += bits_;
+    }
+    return entry;
+  }
+
+  ActStats stats;
+
+ private:
+  struct Face {
+    TaggedEntry root = kSentinelEntry;
+    uint64_t prefix = 0;
+    int prefix_bits = 0;
+  };
+
+  TaggedEntry* NewNode() {
+    auto node = std::make_unique<TaggedEntry[]>(fanout_);
+    std::fill_n(node.get(), fanout_, kSentinelEntry);
+    TaggedEntry* raw = node.get();
+    arena_.push_back(std::move(node));
+    return raw;
+  }
+
+  void InsertCell(const CellId& cell, TaggedEntry value, Face* face) {
+    int key_len = 0;
+    uint64_t key = cell.PathKey(&key_len);
+    int consumed = face->prefix_bits;
+    ASSERT_GE(key_len, consumed);
+    if (key_len == consumed) {
+      ASSERT_EQ(face->root, kSentinelEntry);
+      face->root = value;
+      return;
+    }
+    if (face->root == kSentinelEntry) face->root = MakePointer(NewNode());
+    ASSERT_FALSE(IsValue(face->root));
+    TaggedEntry* node = MutablePointerOf(face->root);
+    while (key_len - consumed > bits_) {
+      uint64_t chunk = (key >> (64 - consumed - bits_)) & mask_;
+      TaggedEntry entry = node[chunk];
+      if (entry == kSentinelEntry) {
+        TaggedEntry* child = NewNode();
+        node[chunk] = MakePointer(child);
+        node = child;
+      } else {
+        ASSERT_FALSE(IsValue(entry));
+        node = MutablePointerOf(entry);
+      }
+      consumed += bits_;
+    }
+    int r = key_len - consumed;
+    uint64_t bits_r = (key >> (64 - consumed - r)) & ((uint64_t{1} << r) - 1);
+    uint64_t base = bits_r << (bits_ - r);
+    for (uint64_t s = base; s < base + (uint64_t{1} << (bits_ - r)); ++s) {
+      ASSERT_EQ(node[s], kSentinelEntry);
+      node[s] = value;
+    }
+  }
+
+  void WalkStats(const TaggedEntry* node, int depth,
+                 std::vector<uint64_t>* slots_by_depth,
+                 std::vector<uint64_t>* used_by_depth) {
+    if (static_cast<size_t>(depth) >= slots_by_depth->size()) {
+      slots_by_depth->resize(depth + 1, 0);
+      used_by_depth->resize(depth + 1, 0);
+    }
+    (*slots_by_depth)[depth] += fanout_;
+    stats.max_depth = std::max(stats.max_depth, depth + 1);
+    for (int s = 0; s < fanout_; ++s) {
+      TaggedEntry e = node[s];
+      if (e == kSentinelEntry) continue;
+      (*used_by_depth)[depth] += 1;
+      if (IsValue(e)) {
+        stats.value_slots += 1;
+        stats.avg_value_depth += depth + 1;
+      } else {
+        stats.pointer_slots += 1;
+        WalkStats(PointerOf(e), depth + 1, slots_by_depth, used_by_depth);
+      }
+    }
+  }
+
+  void ComputeStats() {
+    stats.node_count = arena_.size();
+    stats.memory_bytes =
+        arena_.size() * static_cast<uint64_t>(fanout_) * sizeof(TaggedEntry);
+    std::vector<uint64_t> slots_by_depth, used_by_depth;
+    for (const Face& face : faces_) {
+      if (face.root == kSentinelEntry) continue;
+      if (IsValue(face.root)) {
+        stats.value_slots += 1;
+        continue;
+      }
+      WalkStats(PointerOf(face.root), 0, &slots_by_depth, &used_by_depth);
+    }
+    if (stats.value_slots > 0) {
+      stats.avg_value_depth /= static_cast<double>(stats.value_slots);
+    }
+    stats.occupancy_by_depth.resize(slots_by_depth.size());
+    for (size_t d = 0; d < slots_by_depth.size(); ++d) {
+      stats.occupancy_by_depth[d] =
+          slots_by_depth[d] == 0
+              ? 0
+              : static_cast<double>(used_by_depth[d]) / slots_by_depth[d];
+    }
+  }
+
+  int bits_;
+  int fanout_;
+  uint64_t mask_;
+  Face faces_[CellId::kNumFaces];
+  std::vector<std::unique_ptr<TaggedEntry[]>> arena_;
+};
+
+// Builds the trie both ways at 2/4/8 bits with and without the root prefix
+// and asserts equal stats (exact, doubles included) and an identical probe
+// result and depth at each cell's first and last leaf and at the leaves
+// just outside it.
+void ExpectTrieMatchesReference(const EncodedCovering& enc) {
+  ASSERT_FALSE(enc.cells.empty());
+  std::vector<uint64_t> probes;
+  for (const auto& [cell, value] : enc.cells) {
+    const uint64_t lo = cell.range_min().id(), hi = cell.range_max().id();
+    for (uint64_t id : {lo, hi, lo - 2, hi + 2}) {
+      // Skip ids past either end of the six faces (lo - 2 wraps around).
+      if ((id >> CellId::kPosBits) < CellId::kNumFaces) probes.push_back(id);
+    }
+  }
+  for (int bits : {2, 4, 8}) {
+    for (bool root_prefix : {true, false}) {
+      SCOPED_TRACE("bits " + std::to_string(bits) +
+                   (root_prefix ? " root prefix" : " no root prefix"));
+      const ActOptions opts{.bits_per_level = bits,
+                            .use_root_prefix = root_prefix};
+      AdaptiveCellTrie trie(enc, opts);
+      ReferenceTrie want(enc, opts);
+      const ActStats& got = trie.stats();
+      EXPECT_EQ(got.node_count, want.stats.node_count);
+      EXPECT_EQ(got.memory_bytes, want.stats.memory_bytes);
+      EXPECT_EQ(got.value_slots, want.stats.value_slots);
+      EXPECT_EQ(got.pointer_slots, want.stats.pointer_slots);
+      EXPECT_EQ(got.avg_value_depth, want.stats.avg_value_depth);
+      EXPECT_EQ(got.max_depth, want.stats.max_depth);
+      EXPECT_EQ(got.occupancy_by_depth, want.stats.occupancy_by_depth);
+      for (uint64_t id : probes) {
+        int depth = 0, want_depth = 0;
+        const TaggedEntry e = trie.ProbeCounting(id, &depth);
+        ASSERT_EQ(e, want.ProbeCounting(id, &want_depth)) << "leaf " << id;
+        ASSERT_EQ(depth, want_depth) << "leaf " << id;
+        ASSERT_EQ(trie.Probe(id), e) << "leaf " << id;
+      }
+    }
+  }
+}
+
+EncodedCovering DatasetEncoding(const std::vector<geom::Polygon>& polygons) {
+  BuildOptions opts;
+  opts.threads = 1;
+  return PolygonIndex::Build(polygons, Grid(), opts).encoded();
+}
+
+TEST(TrieBuild, MatchesReferenceOnCensus) {
+  ExpectTrieMatchesReference(DatasetEncoding(wl::Census(0.1).polygons));
+}
+
+TEST(TrieBuild, MatchesReferenceOnNeighborhoods) {
+  ExpectTrieMatchesReference(DatasetEncoding(wl::Neighborhoods().polygons));
+}
+
+TEST(TrieBuild, MatchesReferenceOnRandomCoverings) {
+  // Random cells at every level on all six faces, clustered in one city
+  // and spread over the globe, made disjoint by the builder; one seed adds
+  // face-level cells so some faces hold a single value at the root.
+  Grid grid;
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    SuperCoveringBuilder b;
+    for (int k = 0; k < 1000; ++k) {
+      const geo::LatLng p =
+          k % 2 == 0
+              ? geo::LatLng{rng.Uniform(40.6, 40.8), rng.Uniform(-74.1, -73.9)}
+              : geo::LatLng{rng.Uniform(-85, 85), rng.Uniform(-179, 179)};
+      b.Insert(grid.CellAt(p, static_cast<int>(rng.UniformInt(31))),
+               OneRef(static_cast<uint32_t>(rng.UniformInt(40)),
+                      rng.UniformInt(2) == 0));
+    }
+    if (seed == 3) {
+      for (int f : {1, 4}) b.Insert(CellId::FromFace(f), OneRef(7, true));
+    }
+    SuperCovering sc = b.Build();
+    ASSERT_TRUE(sc.IsDisjoint());
+    ExpectTrieMatchesReference(Encode(sc));
+  }
 }
 
 }  // namespace

@@ -268,7 +268,7 @@ TEST(EdgeGrid, ContainsMatchesRawPipOnPartitions) {
     for (int s = 0; s < 400; ++s) {
       Point q{rng.Uniform(spec.mbr.lo.x, spec.mbr.hi.x),
               rng.Uniform(spec.mbr.lo.y, spec.mbr.hi.y)};
-      ASSERT_EQ(grid.ContainsPoint(q), ContainsPoint(p, q))
+      ASSERT_EQ(grid.ContainsPoint(p, q), ContainsPoint(p, q))
           << "q=(" << q.x << "," << q.y << ")";
     }
   }
@@ -289,7 +289,7 @@ TEST(EdgeGrid, ClassifyMatchesExactClassify) {
       double y = rng.Uniform(-0.5, 9.5);
       Rect rect = Rect::Of(x, y, x + rng.Uniform(0.01, 1.0),
                            y + rng.Uniform(0.01, 1.0));
-      ASSERT_EQ(grid.Classify(rect), Classify(p, rect));
+      ASSERT_EQ(grid.Classify(p, rect), Classify(p, rect));
     }
   }
 }
@@ -301,7 +301,7 @@ TEST(EdgeGrid, StarPolygonAgreement) {
     Rng rng(iter);
     for (int s = 0; s < 500; ++s) {
       Point q{rng.Uniform(1, 9), rng.Uniform(1, 9)};
-      ASSERT_EQ(grid.ContainsPoint(q), ContainsPoint(p, q));
+      ASSERT_EQ(grid.ContainsPoint(p, q), ContainsPoint(p, q));
     }
   }
 }

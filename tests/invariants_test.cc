@@ -53,6 +53,50 @@ TEST(InvariantsDeathTest, TrieRejectsOverlappingCells) {
       "conflict|disjoint");
 }
 
+// One death case per disjointness check of the trie's sorted build, with
+// the root prefix off so each cell's node depth is fixed by its level
+// (8 bits per node: levels 1..4 share the root node, 5..8 the next).
+act::EncodedCovering TwoCells(CellId first, CellId second) {
+  act::EncodedCovering enc;
+  enc.cells.emplace_back(first, act::MakeOneRef({0, true}));
+  enc.cells.emplace_back(second, act::MakeOneRef({1, true}));
+  return enc;
+}
+
+void BuildTrie(const act::EncodedCovering& enc) {
+  act::AdaptiveCellTrie trie(enc, {.bits_per_level = 8,
+                                   .use_root_prefix = false});
+}
+
+TEST(InvariantsDeathTest, TrieRejectsEachKindOfOverlap) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const CellId parent = CellId::FromFace(1).child(2).child(1);  // level 2
+  // A descendant in the same node: its slots are a subrange of the
+  // ancestor's extended slot range.
+  ASSERT_DEATH(BuildTrie(TwoCells(parent, parent.child(3))),
+               "overlapping cells");
+  // A deeper descendant after its ancestor: the path to its node runs
+  // through the ancestor's value slot.
+  CellId deep = parent.child(3).child(0).child(1).child(2);  // level 6
+  ASSERT_DEATH(BuildTrie(TwoCells(parent, deep)),
+               "ancestor/descendant conflict");
+  // A deeper descendant before its ancestor: the ancestor's slot range
+  // covers the pointer down to the descendant.
+  deep = parent.child(0).child(0).child(1).child(2);
+  ASSERT_DEATH(BuildTrie(TwoCells(deep, parent)), "overlapping cells");
+  // A face cell is the face root's value: nothing else fits on the face,
+  // before or after it.
+  const CellId face = CellId::FromFace(1);
+  ASSERT_DEATH(BuildTrie(TwoCells(face, face.child(3))),
+               "root value conflicts with deeper cell");
+  ASSERT_DEATH(BuildTrie(TwoCells(face.child(0), face)),
+               "value at root would shadow other cells");
+  // Duplicates and unsorted input never reach the slot checks.
+  ASSERT_DEATH(BuildTrie(TwoCells(parent, parent)), "sorted and disjoint");
+  ASSERT_DEATH(BuildTrie(TwoCells(parent.next(), parent)),
+               "sorted and disjoint");
+}
+
 TEST(InvariantsDeathTest, BTreeRejectsUnsortedBulkLoad) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   baselines::BTree tree;

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -503,6 +504,7 @@ TEST(ServiceRegistry, ReadersHammeredBySwaps) {
   };
   constexpr int kReaders = 4;
   std::atomic<bool> stop{false};
+  std::atomic<int> readers_running{0};  // readers past their first join
   std::vector<ReaderReport> reports(kReaders);
   std::vector<std::thread> readers;
   readers.reserve(kReaders);
@@ -523,11 +525,21 @@ TEST(ServiceRegistry, ReadersHammeredBySwaps) {
         const auto& want =
             snap->polygons().size() == half_count ? want_half : want_full;
         if (got != want) ++report.wrong_results;
-        ++report.iterations;
+        if (++report.iterations == 1) readers_running.fetch_add(1);
       }
     });
   }
 
+  // Swap only once every reader is joining: under a sanitizer one join
+  // can outlast all the swaps, which would then race no reader at all.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (readers_running.load() < kReaders &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(readers_running.load(), kReaders)
+      << "readers did not start within 10 s";
   constexpr int kSwaps = 40;
   for (int i = 0; i < kSwaps; ++i) {
     registry.Publish(i % 2 == 0 ? full : half);
@@ -1363,29 +1375,47 @@ TEST(DeltaCache, RefreshRaceNeverServesStaleRefsAtNewEpoch) {
   const std::vector<CellRef> new_refs{{7, true}};
 
   std::atomic<bool> stop{false};
+  std::atomic<uint64_t> old_inserts{0}, new_inserts{0};
   struct Observation {
     uint64_t hits = 0;
     uint64_t stale = 0;
+    bool timed_out = false;
   };
   Observation obs;
   std::thread old_writer([&] {
     while (!stop.load(std::memory_order_relaxed)) {
       cache.Insert(0, kCell, /*epoch=*/1, old_refs);
+      old_inserts.fetch_add(1, std::memory_order_relaxed);
     }
   });
   std::thread new_writer([&] {
     while (!stop.load(std::memory_order_relaxed)) {
       cache.Insert(0, kCell, /*epoch=*/2, new_refs);
+      new_inserts.fetch_add(1, std::memory_order_relaxed);
     }
   });
   std::thread reader([&] {
+    // At least 100k lookups, and on until both writers have run and a hit
+    // was seen: on a loaded or one-CPU host the writers may not have been
+    // scheduled yet when the lookups run out.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
     std::vector<CellRef> got;
-    for (int i = 0; i < 100'000; ++i) {
+    for (uint64_t i = 0;; ++i) {
       if (cache.Lookup(0, kCell, /*epoch=*/2, &got)) {
         ++obs.hits;
         if (got.size() != 1 || got[0].local_pid != 7 || !got[0].interior) {
           ++obs.stale;
         }
+      }
+      if (i >= 100'000 && obs.hits > 0 &&
+          old_inserts.load(std::memory_order_relaxed) > 0 &&
+          new_inserts.load(std::memory_order_relaxed) > 0) {
+        break;
+      }
+      if (i % 1024 == 0 && std::chrono::steady_clock::now() > deadline) {
+        obs.timed_out = true;
+        break;
       }
     }
     stop.store(true, std::memory_order_relaxed);
@@ -1394,6 +1424,8 @@ TEST(DeltaCache, RefreshRaceNeverServesStaleRefsAtNewEpoch) {
   old_writer.join();
   new_writer.join();
 
+  EXPECT_FALSE(obs.timed_out)
+      << "no hit with both writers running within 10 s";
   EXPECT_GT(obs.hits, 0u);
   EXPECT_EQ(obs.stale, 0u);
 }

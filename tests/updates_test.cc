@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -23,6 +24,8 @@
 #include "cover/coverer.h"
 #include "geo/grid.h"
 #include "geometry/pip.h"
+#include "join2/cross_match.h"
+#include "service/sharded_index.h"
 #include "util/random.h"
 #include "workloads/datasets.h"
 #include "workloads/polygon_gen.h"
@@ -300,7 +303,8 @@ SuperCovering OracleDelta(const PolygonIndex& base,
   SuperCoveringBuilder builder = ToBuilder(filtered);
   for (bool interior : {false, true}) {
     for (uint32_t pid = first_id; pid < all.size(); ++pid) {
-      cover::Coverer coverer(classifier.edge_grid(pid), base.grid());
+      cover::Coverer coverer(all[pid], classifier.edge_grid(pid),
+                             base.grid());
       builder.AddCovering(interior ? coverer.InteriorCovering(interior_opts)
                                    : coverer.Covering(cover_opts),
                           pid, interior);
@@ -531,6 +535,120 @@ TEST(Updates, WithDeltaRandomizedChainMatchesOracle) {
     SCOPED_TRACE("step " + std::to_string(step));
     index = CheckDelta(index, remove, add, fx.pts, &fx.active);
   }
+}
+
+// --- Shared state between epochs ---------------------------------------------
+
+TEST(Updates, RemoveOnlyDeltaSharesPolygonsAndEdgeGrids) {
+  DeltaFixture fx(50);
+  BuildOptions opts;
+  opts.threads = 2;
+  PolygonIndex base = PolygonIndex::Build(fx.base, Grid(), opts);
+  EXPECT_EQ(base.classifier().num_built(), fx.base.size());
+  EXPECT_GT(base.timings().classifier_s, 0.0);
+
+  PolygonIndex next = CheckDelta(base, {0, 5, 6}, {}, fx.pts, &fx.active);
+  // No polygon copied: the successor holds the base's vector itself.
+  EXPECT_EQ(next.shared_polygons(), base.shared_polygons());
+  // No edge grid built: the classifier is shared, so every grid is the
+  // base's own object.
+  EXPECT_EQ(&next.classifier(), &base.classifier());
+  for (uint32_t i = 0; i < fx.base.size(); ++i) {
+    EXPECT_EQ(&next.classifier().edge_grid(i), &base.classifier().edge_grid(i))
+        << "polygon " << i;
+  }
+  EXPECT_EQ(next.timings().classifier_s, 0.0);
+}
+
+TEST(Updates, AddDeltaBuildsOnlyTheAddedEdgeGrids) {
+  DeltaFixture fx(51);
+  BuildOptions opts;
+  opts.threads = 2;
+  PolygonIndex base = PolygonIndex::Build(fx.base, Grid(), opts);
+  const uint32_t n = static_cast<uint32_t>(fx.base.size());
+  std::vector<geom::Polygon> add(fx.spare.begin(), fx.spare.begin() + 4);
+
+  for (const std::vector<uint32_t>& removed :
+       {std::vector<uint32_t>{}, std::vector<uint32_t>{1, 2}}) {
+    SCOPED_TRACE(removed.empty() ? "add 4" : "remove 2, add 4");
+    std::vector<bool> active = fx.active;
+    PolygonIndex next = CheckDelta(base, removed, add, fx.pts, &active);
+    ASSERT_EQ(next.polygons().size(), n + 4);
+    // The set grew, so the successor has its own vector; the base keeps
+    // its own, unchanged.
+    EXPECT_NE(next.shared_polygons(), base.shared_polygons());
+    EXPECT_EQ(base.polygons().size(), n);
+    // Exactly the four added polygons got grids built.
+    EXPECT_EQ(next.classifier().num_built(), 4u);
+    for (uint32_t i = 0; i < n; ++i) {
+      ASSERT_EQ(&next.classifier().edge_grid(i),
+                &base.classifier().edge_grid(i))
+          << "polygon " << i;
+    }
+    for (uint32_t i = n; i < n + 4; ++i) {
+      EXPECT_TRUE(next.classifier().edge_grid(i).ContainsPoint(
+          next.polygons()[i], next.polygons()[i].rings()[0][0]));
+    }
+  }
+}
+
+TEST(Updates, ChurnReleasesRetiredPolygonVectors) {
+  // 50 cycles of ADD 2 then REMOVE 2 (the two oldest live ids) through the
+  // served path, keeping only the newest snapshot. Every epoch's point join
+  // and crossmatch must equal the brute-force oracles over the live set,
+  // and once the first snapshot is released nothing may keep its polygon
+  // vector alive.
+  DeltaFixture fx(52);
+  service::ShardingOptions sharding;
+  sharding.build.threads = 1;
+  auto index = std::make_shared<const service::ShardedIndex>(
+      service::ShardedIndex::Build(fx.base, Grid(), sharding));
+  const service::ShardedIndex fixed =
+      service::ShardedIndex::Build(fx.spare, Grid(), sharding);
+  std::weak_ptr<const std::vector<geom::Polygon>> first =
+      index->shard_index(0)->shared_polygons();
+
+  std::vector<uint32_t> removed;
+  uint32_t next_remove = 0;
+  util::Rng rng(5252);
+  auto check_epoch = [&](const service::ShardedIndex& idx) {
+    const std::vector<geom::Polygon>& all = idx.shard_index(0)->polygons();
+    auto is_removed = [&](uint32_t pid) {
+      return std::find(removed.begin(), removed.end(), pid) != removed.end();
+    };
+    auto want = BruteForceJoinPairs(fx.pts.AsJoinInput(), all);
+    std::erase_if(want, [&](const auto& pair) {
+      return is_removed(pair.second);
+    });
+    ASSERT_EQ(idx.JoinPairs(fx.pts.AsJoinInput(), JoinMode::kExact), want);
+    for (join2::CrossMatchMode mode : {join2::CrossMatchMode::kIntersects,
+                                       join2::CrossMatchMode::kContains}) {
+      ASSERT_EQ(join2::CrossMatchIndexes(idx, fixed, {.mode = mode}),
+                join2::BruteForceCrossMatch(all, fx.spare, mode, removed));
+    }
+  };
+  for (int cycle = 0; cycle < 50; ++cycle) {
+    SCOPED_TRACE("cycle " + std::to_string(cycle));
+    service::ShardedIndex::Delta add;
+    for (int k = 0; k < 2; ++k) {
+      add.add.push_back(wl::RandomStarPolygon(
+          {rng.Uniform(fx.ds.mbr.lo.x, fx.ds.mbr.hi.x),
+           rng.Uniform(fx.ds.mbr.lo.y, fx.ds.mbr.hi.y)},
+          rng.Uniform(0.002, 0.02), 7, rng.Next()));
+    }
+    index = service::ShardedIndex::ApplyDelta(*index, add).index;
+    check_epoch(*index);
+    service::ShardedIndex::Delta remove;
+    remove.remove = {next_remove, next_remove + 1};
+    next_remove += 2;
+    // A remove-only delta shares the vector the add just made.
+    auto shared_before = index->shard_index(0)->shared_polygons();
+    index = service::ShardedIndex::ApplyDelta(*index, remove).index;
+    EXPECT_EQ(index->shard_index(0)->shared_polygons(), shared_before);
+    removed.insert(removed.end(), remove.remove.begin(), remove.remove.end());
+    check_epoch(*index);
+  }
+  EXPECT_TRUE(first.expired());
 }
 
 }  // namespace
